@@ -88,14 +88,13 @@ struct TimingSample {
 TimingSample time_repeated(const std::function<real_t()>& sample,
                            int warmup = 1);
 
-/// Order-alternated paired-ratio estimate — the methodology the obs
-/// overhead gate introduced (ext_exec_scaling gate 2) and the pipeline
-/// overlap gate reuses. Runs `reps` pairs of the two samplers; each pair
-/// alternates which side runs first (a fixed order would bias every pair
-/// the same way under monotone ambient-load drift), and the reported ratio
-/// is the median over per-pair b/a (the median discards the odd
-/// descheduled sample). Pairs whose `a` sample is non-positive are
-/// dropped.
+/// Order-alternated paired-ratio estimate — the methodology of the obs
+/// overhead gate (ext_exec_scaling gate 2). Runs `reps` pairs of the two
+/// samplers; each pair alternates which side runs first (a fixed order
+/// would bias every pair the same way under monotone ambient-load drift),
+/// and the reported ratio is the median over per-pair b/a (the median
+/// discards the odd descheduled sample). Pairs whose `a` sample is
+/// non-positive are dropped.
 struct PairedRatio {
   real_t median_ratio = 1;  // median over pairs of sample_b / sample_a
   real_t best_a = 0;        // min over pairs of sample_a's value
@@ -140,8 +139,5 @@ struct PeakRss {
 /// getrusage's ru_maxrss; an unparseable or implausible (zero) value from
 /// one source falls through to the next instead of being reported as 0.
 PeakRss peak_rss();
-
-/// Back-compat shim: peak_rss().bytes (0 when unavailable).
-offset_t peak_rss_bytes();
 
 }  // namespace th::bench

@@ -149,8 +149,8 @@
 // Example: a 16-rank run where every kernel has a 0.1% transient fault
 // rate and rank 3 dies 2 ms in:
 //
-//   thsolve_cli --gen grid2d --n 10000 --ranks 16 \
-//       --faults transient=0.001,kill=3@0.002,guards=1
+//   thsolve_cli --gen grid2d --n 10000 --ranks 16
+//               --faults transient=0.001,kill=3@0.002,guards=1
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -194,8 +194,6 @@ using namespace th;
                "[--core plu|slu] [--policy th|pangu|superlu|stream|dmdas] "
                "[--device a100|h100|5090|5060ti|mi50] [--ranks R] "
                "[--threads N] [--accum atomic|det] "
-               "[--pipeline on|off,lanes=N,depth=N,"
-               "container=sharded|heap|fifo] [--agg-lanes N] "
                "[--nrhs N] [--rhs-batch width=N,wait=SEC,"
                "sched=priority|levelset,det=0|1] "
                "[--block B] [--ordering mindeg|rcm|nd|natural] "
@@ -230,6 +228,22 @@ int parse_int_strict(const char* what, const char* val, int lo) {
               .c_str());
   }
   return static_cast<int>(v);
+}
+
+// Strict real parse, the floating-point twin of parse_int_strict: the whole
+// token must be a finite non-negative number ("foo", "1.5x", "-1", "nan"
+// all exit 2; atof would silently turn them into 0).
+double parse_double_strict(const char* what, const char* val) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(val, &end);
+  if (end == val || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < 0) {
+    usage((std::string(what) + " wants a non-negative number, got \"" + val +
+           "\"")
+              .c_str());
+  }
+  return v;
 }
 
 Csr make_generated(const std::string& kind, index_t n) {
@@ -291,25 +305,6 @@ rhs::RhsOptions parse_rhs_batch(const std::string& s) {
   }
 }
 
-// --pipeline travels as a spec::PipelineSpec on the wire; the CLI converts
-// it into the scheduler's native PipelineOptions. A bare "--pipeline on"
-// takes every default.
-PipelineOptions parse_pipeline(const std::string& s) {
-  try {
-    const spec::PipelineSpec p = spec::parse_pipeline_spec(s);
-    PipelineOptions o;
-    o.enabled = p.enabled;
-    o.aggregate_lanes = p.lanes;
-    o.depth = p.depth;
-    o.container = p.container == "heap"   ? Container::Discipline::kHeap
-                  : p.container == "fifo" ? Container::Discipline::kFifo
-                                          : Container::Discipline::kSharded;
-    return o;
-  } catch (const spec::SpecError& e) {
-    usage((std::string("--pipeline: ") + e.what()).c_str());
-  }
-}
-
 Ordering parse_ordering(const std::string& o) {
   if (o == "mindeg") return Ordering::kMinDegree;
   if (o == "rcm") return Ordering::kRcm;
@@ -327,11 +322,13 @@ int main(int argc, char** argv) {
   std::string trace_out_path, metrics_out_path;
   std::string core = "plu", policy = "th", device = "a100";
   std::string ordering = "mindeg";
-  std::string ckpt_interval_spec, ckpt_out_path, resume_path;
+  std::string ckpt_out_path, resume_path;
   std::string accum = "atomic";
   std::string spill_dir, mem_policy = "spill";
   real_t mem_gib = 0;
   real_t ckpt_write = 0;
+  bool ckpt_auto = false;
+  real_t ckpt_interval = 0;  // 0 = no --ckpt-interval SEC given
   bool validate = false;
   bool serve_mode = false;
   int serve_requests = 200, serve_tenants = 4, serve_patterns = 12;
@@ -343,9 +340,6 @@ int main(int argc, char** argv) {
   int crash_soak_scenarios = 0;
   bool crash_kill = false;
   std::string rhs_batch_spec;
-  std::string pipeline_flag_spec;
-  bool pipeline_flag = false;
-  int agg_lanes = 0;  // 0 = take the spec's (or default) lane count
   int nrhs = 0;
   index_t n = 1600, block = 0;
   int ranks = 1, refine_iters = 0;
@@ -368,7 +362,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--gen")) {
       gen_kind = need("--gen");
     } else if (!std::strcmp(argv[i], "--n")) {
-      n = static_cast<index_t>(std::atoi(need("--n")));
+      n = parse_int_strict("--n", need("--n"), 1);
     } else if (!std::strcmp(argv[i], "--core")) {
       core = need("--core");
     } else if (!std::strcmp(argv[i], "--policy")) {
@@ -376,7 +370,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--device")) {
       device = need("--device");
     } else if (!std::strcmp(argv[i], "--ranks")) {
-      ranks = std::atoi(need("--ranks"));
+      ranks = parse_int_strict("--ranks", need("--ranks"), 1);
     } else if (!std::strcmp(argv[i], "--threads")) {
       threads = parse_int_strict("--threads", need("--threads"), 1);
     } else if (!std::strcmp(argv[i], "--accum")) {
@@ -388,17 +382,12 @@ int main(int argc, char** argv) {
       nrhs = parse_int_strict("--nrhs", need("--nrhs"), 1);
     } else if (!std::strcmp(argv[i], "--rhs-batch")) {
       rhs_batch_spec = need("--rhs-batch");
-    } else if (!std::strcmp(argv[i], "--pipeline")) {
-      pipeline_flag_spec = need("--pipeline");
-      pipeline_flag = true;
-    } else if (!std::strcmp(argv[i], "--agg-lanes")) {
-      agg_lanes = parse_int_strict("--agg-lanes", need("--agg-lanes"), 1);
     } else if (!std::strcmp(argv[i], "--block")) {
-      block = static_cast<index_t>(std::atoi(need("--block")));
+      block = parse_int_strict("--block", need("--block"), 1);
     } else if (!std::strcmp(argv[i], "--ordering")) {
       ordering = need("--ordering");
     } else if (!std::strcmp(argv[i], "--refine")) {
-      refine_iters = std::atoi(need("--refine"));
+      refine_iters = parse_int_strict("--refine", need("--refine"), 0);
     } else if (!std::strcmp(argv[i], "--abft")) {
       abft = true;
     } else if (!std::strcmp(argv[i], "--abft-retries")) {
@@ -417,8 +406,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--faults")) {
       faults_spec = need("--faults");
     } else if (!std::strcmp(argv[i], "--mem-gib")) {
-      mem_gib = std::atof(need("--mem-gib"));
-      if (mem_gib < 0) usage("--mem-gib wants a non-negative GiB count");
+      mem_gib = parse_double_strict("--mem-gib", need("--mem-gib"));
     } else if (!std::strcmp(argv[i], "--spill-dir")) {
       spill_dir = need("--spill-dir");
     } else if (!std::strcmp(argv[i], "--mem-policy")) {
@@ -428,9 +416,14 @@ int main(int argc, char** argv) {
         usage("--mem-policy wants failfast, shrink or spill");
       }
     } else if (!std::strcmp(argv[i], "--ckpt-interval")) {
-      ckpt_interval_spec = need("--ckpt-interval");
+      const char* v = need("--ckpt-interval");
+      ckpt_auto = !std::strcmp(v, "auto");
+      if (!ckpt_auto) {
+        ckpt_interval = parse_double_strict("--ckpt-interval", v);
+        if (ckpt_interval <= 0) usage("--ckpt-interval wants SEC > 0 or auto");
+      }
     } else if (!std::strcmp(argv[i], "--ckpt-write")) {
-      ckpt_write = std::atof(need("--ckpt-write"));
+      ckpt_write = parse_double_strict("--ckpt-write", need("--ckpt-write"));
     } else if (!std::strcmp(argv[i], "--ckpt-out")) {
       ckpt_out_path = need("--ckpt-out");
     } else if (!std::strcmp(argv[i], "--resume")) {
@@ -449,7 +442,7 @@ int main(int argc, char** argv) {
       serve_patterns =
           parse_int_strict("--serve-patterns", need("--serve-patterns"), 1);
     } else if (!std::strcmp(argv[i], "--serve-load")) {
-      serve_load = std::atof(need("--serve-load"));
+      serve_load = parse_double_strict("--serve-load", need("--serve-load"));
       if (serve_load <= 0) usage("--serve-load wants a positive multiple");
     } else if (!std::strcmp(argv[i], "--serve-seed")) {
       serve_seed = static_cast<std::uint64_t>(
@@ -476,16 +469,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Parse eagerly so a malformed --rhs-batch, --pipeline or --faults errors
+  // Parse eagerly so a malformed --rhs-batch or --faults errors
   // even on runs that never reach a batched solve or a fault-injected
   // schedule.
   const rhs::RhsOptions rhs_opt = parse_rhs_batch(rhs_batch_spec);
-  PipelineOptions pipeline_opt =
-      pipeline_flag ? parse_pipeline(pipeline_flag_spec) : PipelineOptions{};
-  if (agg_lanes > 0) {
-    pipeline_opt.enabled = true;  // --agg-lanes alone implies --pipeline on
-    pipeline_opt.aggregate_lanes = agg_lanes;
-  }
   const FaultPlan fault_plan =
       faults_spec.empty() ? FaultPlan{} : parse_faults(faults_spec);
 
@@ -694,17 +681,16 @@ int main(int argc, char** argv) {
     so.mem.policy = mem::mem_policy_by_name(mem_policy);
     so.exec.workers = threads;
     so.exec.accum = exec::accum_mode_by_name(accum);
-    so.pipeline = pipeline_opt;
     so.abft.enabled = abft;
     so.abft.max_retries = abft_retries;
     so.validate_schedule = validate;
     so.validate();  // reject bad thread/rank combinations before building
-    if (!ckpt_interval_spec.empty()) {
-      if (ckpt_interval_spec == "auto") {
+    if (ckpt_auto || ckpt_interval > 0) {
+      if (ckpt_auto) {
         so.checkpoint.mode = CheckpointPolicy::Mode::kAuto;
       } else {
         so.checkpoint.mode = CheckpointPolicy::Mode::kInterval;
-        so.checkpoint.interval_s = std::atof(ckpt_interval_spec.c_str());
+        so.checkpoint.interval_s = ckpt_interval;
       }
       if (ckpt_write > 0) so.checkpoint.write_cost_s = ckpt_write;
     }

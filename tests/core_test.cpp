@@ -352,6 +352,26 @@ TEST(Container, FifoPopsInArrivalOrder) {
   for (index_t i = 0; i < 10; ++i) EXPECT_EQ(c.pop(), i);
 }
 
+TEST(Container, DisciplineSelectsPopOrder) {
+  Container heap(Container::Discipline::kHeap);
+  Container fifo(Container::Discipline::kFifo);
+  for (Container* c : {&heap, &fifo}) {
+    c->push(/*key=*/3, /*id=*/30);
+    c->push(/*key=*/1, /*id=*/10);
+    c->push(/*key=*/2, /*id=*/20);
+  }
+  // The heap pops by key; fifo pops in arrival order.
+  EXPECT_EQ(heap.pop(), 10);
+  EXPECT_EQ(fifo.pop(), 30);
+  EXPECT_EQ(heap.discipline(), Container::Discipline::kHeap);
+  EXPECT_EQ(fifo.discipline(), Container::Discipline::kFifo);
+  EXPECT_EQ(heap.size(), 2u);
+  EXPECT_EQ(heap.peak_size(), 3u);
+  EXPECT_EQ(fifo.peak_size(), 3u);
+  while (!heap.empty()) heap.pop();
+  EXPECT_THROW(heap.pop(), Error);
+}
+
 TEST(Container, UrgentDrainsBeforeDeferredAtEqualReadiness) {
   // The scheduler's two-phase batch formation: everything the Prioritizer
   // marks urgent ships before anything parked in the Container, however

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gen/generators.hpp"
+#include "core/coalesce.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/recorder.hpp"
@@ -150,6 +151,48 @@ TEST(RhsOptionsValidate, RejectsNonsense) {
   opt = RhsOptions{};
   opt.max_wait_s = -1;
   EXPECT_THROW(opt.validate(), Error);
+}
+
+// ---- CoalesceQueue: the close policy RhsBatcher shares (core/coalesce.hpp)
+
+TEST(CoalesceQueue, WidthClosesExactlyAtCap) {
+  CoalesceQueue<int> q(3, 0);
+  q.submit(1, 0.0);
+  q.submit(2, 0.1);
+  EXPECT_FALSE(q.poll(0.2).has_value());
+  q.submit(3, 0.2);
+  const auto closed = q.poll(0.3);
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_EQ(closed->reason, CloseReason::kWidth);
+  EXPECT_EQ(closed->members, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CoalesceQueue, TimeoutClosesPartialBatch) {
+  CoalesceQueue<int> q(8, 0.5);
+  q.submit(7, 1.0);
+  EXPECT_FALSE(q.poll(1.4).has_value());
+  const auto closed = q.poll(1.5);
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_EQ(closed->reason, CloseReason::kTimeout);
+  EXPECT_EQ(closed->members, (std::vector<int>{7}));
+  EXPECT_EQ(closed->closed_s, 1.5);
+}
+
+TEST(CoalesceQueue, FlushDrainsAndKeepsWidthReason) {
+  CoalesceQueue<int> q(2, 0);
+  EXPECT_FALSE(q.flush(0.0).has_value());  // nothing pending
+  q.submit(1, 0.0);
+  const auto partial = q.flush(1.0);
+  ASSERT_TRUE(partial.has_value());
+  EXPECT_EQ(partial->reason, CloseReason::kFlush);
+  // A full queue closes as kWidth even on the flush path.
+  q.submit(2, 2.0);
+  q.submit(3, 2.0);
+  const auto full = q.flush(3.0);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->reason, CloseReason::kWidth);
+  EXPECT_EQ(std::string(close_reason_name(CloseReason::kTimeout)), "timeout");
 }
 
 // ---- solve-DAG cache ------------------------------------------------------
