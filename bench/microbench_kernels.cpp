@@ -53,47 +53,41 @@ void BM_GemmMinus(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmMinus)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_GemmMinusAtomic(benchmark::State& state) {
-  const auto n = static_cast<index_t>(state.range(0));
-  Rng rng(3);
-  const std::vector<real_t> a = random_matrix(n, rng, false);
-  const std::vector<real_t> b = random_matrix(n, rng, false);
-  std::vector<real_t> c = random_matrix(n, rng, false);
-  for (auto _ : state) {
-    gemm_minus_atomic(n, n, n, a.data(), n, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmMinusAtomic)->Arg(32)->Arg(64);
-
-void BM_SparseSsssm(benchmark::State& state) {
+// SSSSM as the PLU core runs it: dense L (a TSTRF output), U stored dense
+// but 0.7% nonzero (the measured share of a factored grid2d U tile), read
+// through its nonzero index. Arg 1 selects atomic accumulation. Items are
+// the executed flops, 2 * m per indexed U entry.
+void BM_IndexedSsssm(benchmark::State& state) {
   const index_t n = 64;
-  const double density = static_cast<double>(state.range(0)) / 100.0;
+  const bool atomic = state.range(0) != 0;
   Rng rng(4);
   Tile l(n, n);
-  for (index_t c = 0; c < n; ++c) {
-    for (index_t r = 0; r < n; ++r) {
-      if (rng.next_real() < density) l.insert(r, c, rng.uniform(-1, 1));
-    }
+  for (index_t cc = 0; cc < n; ++cc) {
+    for (index_t r = 0; r < n; ++r) l.insert(r, cc, rng.uniform(-1, 1));
   }
   l.freeze();
+  l.densify();
   Tile u(n, n);
   for (index_t cc = 0; cc < n; ++cc) {
-    for (index_t r = 0; r < n; ++r) u.insert(r, cc, rng.uniform(-1, 1));
+    for (index_t r = 0; r < n; ++r) {
+      if (rng.next_real() < 0.007) u.insert(r, cc, rng.uniform(-1, 1));
+    }
   }
   u.freeze();
   u.densify();
+  u.index_nonzeros();
   Tile c(n, n);
   c.insert(0, 0, 1.0);
   c.freeze();
   c.densify();
   for (auto _ : state) {
-    tile_ssssm(c, l, u, /*atomic=*/false);
+    tile_ssssm_cols(c.dense_data(), c.ld(), l, u, atomic, 0, n);
     benchmark::DoNotOptimize(c.dense_data());
   }
+  state.SetItemsProcessed(state.iterations() * 2 * n *
+                          u.nz_indexed_count());
 }
-BENCHMARK(BM_SparseSsssm)->Arg(5)->Arg(25)->Arg(75);
+BENCHMARK(BM_IndexedSsssm)->Arg(0)->Arg(1);
 
 void BM_BlockTaskMapLookup(benchmark::State& state) {
   const auto tasks = static_cast<index_t>(state.range(0));

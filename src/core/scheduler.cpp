@@ -155,6 +155,7 @@ ScheduleResult simulate(const TaskGraph& graph, const ScheduleOptions& opt,
   const Prioritizer prioritizer(opt.prioritizer);
   KernelCostModel model(opt.cluster.gpu);
   Executor executor(model, backend, opt.exec);
+  if (backend != nullptr) executor.batch_executor().stage(*backend);
 
   // One observability gate per run: with the switch off every
   // instrumentation site below folds to a dead branch and the simulated

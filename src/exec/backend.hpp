@@ -146,6 +146,16 @@ class NumericBackend {
 
   // ---- Block-level extension (exec::BatchExecutor) ----------------------
 
+  /// Run prologue: independent storage-staging jobs (e.g. densify every
+  /// tile the run will write) that the runtime drains across its worker
+  /// lanes once, before the first batch, so prepare_task() stays cheap on
+  /// every batch's serial path. Called serially; 0 means nothing to stage.
+  virtual std::size_t stage_jobs() { return 0; }
+
+  /// Run staging job `job`. Must be safe to call concurrently for distinct
+  /// job indices.
+  virtual void stage_run(std::size_t job) { (void)job; }
+
   /// Serial prologue run once per task before any of its blocks execute —
   /// e.g. densify the output tile so concurrent slices only touch disjoint
   /// rows/columns of a stable buffer. Called from a single thread.
@@ -155,17 +165,19 @@ class NumericBackend {
   /// one block per target row or column as priced in Task::cost).
   /// `atomic` mirrors run_task. When `into` is non-null the blocks must
   /// accumulate into that zero-initialised scratch buffer instead of the
-  /// real target (deterministic mode). Return false when the task type has
-  /// no block-level body — the runtime then runs the task whole, via
-  /// run_task(), on the worker that claimed its first block.
-  virtual bool run_blocks(const Task& t, index_t b0, index_t b1, bool atomic,
-                          real_t* into) {
+  /// real target (deterministic mode). Returns the flops the slice
+  /// executed (0 for a body that does not count them; summed per lane
+  /// into ExecStats::flops), or -1 when the task type has no block-level
+  /// body — the runtime then runs the task whole, via run_task(), on the
+  /// worker that claimed its first block.
+  virtual offset_t run_blocks(const Task& t, index_t b0, index_t b1,
+                              bool atomic, real_t* into) {
     (void)t;
     (void)b0;
     (void)b1;
     (void)atomic;
     (void)into;
-    return false;
+    return -1;
   }
 
   /// Scratch elements (real_t) deterministic mode needs for this task's

@@ -44,6 +44,47 @@ BatchExecutor::BatchExecutor(const BatchExecOptions& opt)
   // every batch indexes lanes [0, width-at-dispatch).
   lane_busy_.assign(static_cast<std::size_t>(pool_->width()), 0.0);
   lane_slices_.assign(static_cast<std::size_t>(pool_->width()), 0);
+  lane_flops_.assign(static_cast<std::size_t>(pool_->width()), 0);
+}
+
+void BatchExecutor::stage(NumericBackend& backend) {
+  const std::size_t jobs = backend.stage_jobs();
+  if (jobs == 0) return;
+  const Stopwatch wall;
+  const real_t caller_t0 = thread_cpu_seconds();
+  const auto width = static_cast<std::size_t>(pool_->width());
+  std::fill(lane_busy_.begin(), lane_busy_.end(), 0.0);
+  std::fill(lane_slices_.begin(), lane_slices_.end(), 0);
+  std::fill(lane_flops_.begin(), lane_flops_.end(), 0);
+  pool_->run(
+      [&](int lane) {
+        const real_t t0 = thread_cpu_seconds();
+        for (std::size_t j = static_cast<std::size_t>(lane); j < jobs;
+             j += width)
+          backend.stage_run(j);
+        lane_busy_[static_cast<std::size_t>(lane)] = thread_cpu_seconds() - t0;
+      },
+      "exec stage");
+  account(static_cast<index_t>(width), caller_t0, wall.seconds());
+}
+
+void BatchExecutor::account(index_t width, real_t caller_t0, real_t wall_s) {
+  real_t busy = 0;
+  real_t span_max = 0;
+  for (index_t l = 0; l < width; ++l) {
+    const real_t lb = lane_busy_[static_cast<std::size_t>(l)];
+    busy += lb;
+    span_max = std::max(span_max, lb);
+    stats_.slices += lane_slices_[static_cast<std::size_t>(l)];
+    stats_.flops += lane_flops_[static_cast<std::size_t>(l)];
+  }
+  // The caller's CPU time minus its lane-0 share isolates the serial
+  // prologue + epilogue, which sits on the critical path at any width.
+  const real_t serial_s = std::max<real_t>(
+      0.0, (thread_cpu_seconds() - caller_t0) - lane_busy_[0]);
+  stats_.busy_s += busy + serial_s;
+  stats_.span_s += span_max + serial_s;
+  stats_.wall_s += wall_s;
 }
 
 void BatchExecutor::execute(NumericBackend& backend,
@@ -55,15 +96,22 @@ void BatchExecutor::execute(NumericBackend& backend,
   TH_CHECK(atomic_flags.size() == tasks.size());
   TH_CHECK(skip == nullptr || skip->size() == tasks.size());
   const bool obs_on = obs::enabled();
-  obs::Recorder& rec = obs::Recorder::global();
-  const real_t batch_t0 = obs_on ? rec.host_now() : 0;
+  // The recorder is built on first use; with obs off it is never touched,
+  // so its event ring is not allocated in the middle of a run's tiles.
+  const real_t batch_t0 = obs_on ? obs::Recorder::global().host_now() : 0;
   const Stopwatch wall;
   const real_t caller_t0 = thread_cpu_seconds();
 
   const BlockMap map = BlockMap::from_tasks(tasks);
 
-  // Classify members and lay out deterministic-mode scratch.
+  // Classify members and lay out deterministic-mode scratch. On a single
+  // lane nothing runs concurrently, so atomic-mode conflicts accumulate in
+  // place with plain writes: c - l*u rounds exactly like the CAS loop's
+  // c + (-(l*u)), and the lone lane fixes the order — bitwise the same
+  // factors without a CAS per element. Det mode keeps its scratch fold,
+  // whose rounding is what makes it identical across lane counts.
   const std::size_t nb = tasks.size();
+  const index_t width = static_cast<index_t>(pool_->width());
   std::vector<Mode> mode(nb, Mode::kInPlace);
   std::vector<offset_t> scratch_at(nb, -1);
   offset_t scratch_total = 0;
@@ -72,7 +120,7 @@ void BatchExecutor::execute(NumericBackend& backend,
       mode[i] = Mode::kSkip;
     } else if (atomic_flags[i] != 0) {
       if (opt_.accum == AccumMode::kAtomic) {
-        mode[i] = Mode::kAtomic;
+        if (width > 1) mode[i] = Mode::kAtomic;
       } else if (const offset_t sz = backend.scratch_size(*tasks[i]); sz > 0) {
         mode[i] = Mode::kScratch;
         scratch_at[i] = scratch_total;
@@ -123,12 +171,13 @@ void BatchExecutor::execute(NumericBackend& backend,
   // lanes, so the scaling numbers survive core-starved CI machines.
   std::atomic<long> fallbacks{0};
   const index_t total = map.total_blocks();
-  const index_t width = static_cast<index_t>(pool_->width());
   std::fill(lane_busy_.begin(), lane_busy_.end(), 0.0);
   std::fill(lane_slices_.begin(), lane_slices_.end(), 0);
+  std::fill(lane_flops_.begin(), lane_flops_.end(), 0);
   pool_->run([&](int lane) {
     const real_t t0 = thread_cpu_seconds();
     long slices = 0;
+    offset_t flops = 0;
     for (index_t chunk = static_cast<index_t>(lane) * opt_.chunk_blocks;
          chunk < total; chunk += width * opt_.chunk_blocks) {
       const index_t chunk_end =
@@ -146,8 +195,11 @@ void BatchExecutor::execute(NumericBackend& backend,
               m == Mode::kScratch
                   ? scratch_.data() + scratch_at[static_cast<std::size_t>(pos)]
                   : nullptr;
-          if (backend.run_blocks(t, l0, l1, m == Mode::kAtomic, into)) {
+          if (const offset_t f =
+                  backend.run_blocks(t, l0, l1, m == Mode::kAtomic, into);
+              f >= 0) {
             ++slices;
+            flops += f;
           } else if (l0 == 0) {
             // No block-level body: the lane holding the task's first block
             // runs it whole; lanes holding later slices of it fall through.
@@ -162,6 +214,7 @@ void BatchExecutor::execute(NumericBackend& backend,
     }
     lane_busy_[static_cast<std::size_t>(lane)] = thread_cpu_seconds() - t0;
     lane_slices_[static_cast<std::size_t>(lane)] = slices;
+    lane_flops_[static_cast<std::size_t>(lane)] = flops;
   }, "exec blocks");
 
   // Ordered epilogue, one fixed order regardless of thread count: fold
@@ -226,21 +279,7 @@ void BatchExecutor::execute(NumericBackend& backend,
     }
   }
 
-  real_t busy = 0;
-  real_t span_max = 0;
-  for (index_t l = 0; l < width; ++l) {
-    const real_t lb = lane_busy_[static_cast<std::size_t>(l)];
-    busy += lb;
-    span_max = std::max(span_max, lb);
-    stats_.slices += lane_slices_[static_cast<std::size_t>(l)];
-  }
-  // The caller's CPU time minus its lane-0 share isolates the serial
-  // prologue + epilogue, which sits on the critical path at any width.
-  const real_t serial_s = std::max<real_t>(
-      0.0, (thread_cpu_seconds() - caller_t0) - lane_busy_[0]);
-  stats_.busy_s += busy + serial_s;
-  stats_.span_s += span_max + serial_s;
-  stats_.wall_s += wall.seconds();
+  account(width, caller_t0, wall.seconds());
   stats_.fallback_tasks += fallbacks.load(std::memory_order_relaxed);
   stats_.det_reductions += det_reds;
   const int prev_degraded = stats_.lanes_degraded;
@@ -249,6 +288,7 @@ void BatchExecutor::execute(NumericBackend& backend,
   stats_.stragglers = pool_->stragglers();
   ++stats_.batches;
   if (obs_on) {
+    obs::Recorder& rec = obs::Recorder::global();
     if (stats_.lanes_degraded > prev_degraded) {
       rec.instant(obs::Domain::kHost, -1, "watchdog degraded lane", "recovery",
                   rec.host_now(), "lanes",

@@ -34,6 +34,7 @@ struct ExecStats {
                       // per-thread CPU clock, so it stays meaningful when
                       // the machine has fewer cores than lanes.
   long slices = 0;          // block-range slices executed via run_blocks
+  offset_t flops = 0;       // flops those slices reported executing
   long fallback_tasks = 0;  // members executed whole via run_task
   long det_reductions = 0;  // scratch buffers folded in the ordered epilogue
   int workers = 1;          // current (responsive) pool width
@@ -107,11 +108,20 @@ class BatchExecutor {
                const std::vector<char>& atomic_flags,
                const std::vector<char>* skip, BatchVerify* verify = nullptr);
 
+  /// Drain the backend's run-prologue staging jobs (stage_jobs()) across
+  /// the lanes; call once per numeric run, before the first batch. Counted
+  /// in wall/busy/span like a batch's parallel phase, but not as a batch.
+  void stage(NumericBackend& backend);
+
   /// Direct pool access (tests: hang injection, degrade inspection).
   WorkerPool& pool() { return *pool_; }
   bool pool_is_shared() const { return own_pool_ == nullptr; }
 
  private:
+  /// Fold one parallel phase over `width` lanes into stats_: per-lane CPU
+  /// from lane_busy_ plus the caller's serial share since caller_t0.
+  void account(index_t width, real_t caller_t0, real_t wall_s);
+
   BatchExecOptions opt_;
   std::unique_ptr<WorkerPool> own_pool_;  // null when borrowing shared_pool
   WorkerPool* pool_;
@@ -119,6 +129,7 @@ class BatchExecutor {
   std::vector<real_t> scratch_;     // det-mode buffers, one batch at a time
   std::vector<real_t> lane_busy_;   // per-lane CPU seconds, last batch
   std::vector<long> lane_slices_;
+  std::vector<offset_t> lane_flops_;  // per-lane reported flops, last batch
 };
 
 }  // namespace th::exec

@@ -74,22 +74,4 @@ void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
   }
 }
 
-// gemm_minus_atomic stays scalar: each element goes through a CAS loop
-// (atomic_add), which no lane-parallel form can reproduce bit-for-bit.
-void gemm_minus_atomic(index_t m, index_t n, index_t k, const real_t* a,
-                       index_t lda, const real_t* b, index_t ldb, real_t* c,
-                       index_t ldc) {
-  for (index_t j = 0; j < n; ++j) {
-    real_t* colc = c + j * static_cast<offset_t>(ldc);
-    for (index_t p = 0; p < k; ++p) {
-      const real_t bpj = b[p + j * static_cast<offset_t>(ldb)];
-      if (bpj == 0.0) continue;
-      const real_t* cola = a + p * static_cast<offset_t>(lda);
-      for (index_t i = 0; i < m; ++i) {
-        atomic_add(colc[i], -cola[i] * bpj);
-      }
-    }
-  }
-}
-
 }  // namespace th

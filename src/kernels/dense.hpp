@@ -28,20 +28,16 @@ void trsm_lower_left_unit(index_t m, index_t n, const real_t* l, index_t ldl,
 void trsm_upper_right(index_t m, index_t n, const real_t* u, index_t ldu,
                       real_t* b, index_t ldb);
 
-/// C := C - A * B (m x k times k x n). The SSSSM Schur update body.
+/// C := C - A * B (m x k times k x n), skipping zero entries of B. The
+/// SLU core's supernodal Schur update (the PLU core's SSSSM walks the U
+/// tile's nonzero index instead, kernels/tile.hpp).
 void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
                 const real_t* b, index_t ldb, real_t* c, index_t ldc);
 
-/// Same as gemm_minus but accumulates with relaxed atomic adds
-/// (std::atomic_ref), allowing concurrent updates from conflicting SSSSM
-/// tasks in one batch (paper §2.3, tasks 9S0/9S1) — the host-side
-/// equivalent of CUDA atomicAdd on FP64. All concurrent writers of `c`
-/// during the batch must also use atomic access.
-void gemm_minus_atomic(index_t m, index_t n, index_t k, const real_t* a,
-                       index_t lda, const real_t* b, index_t ldb, real_t* c,
-                       index_t ldc);
-
-/// Atomic fetch-add on a plain double via std::atomic_ref.
+/// Atomic fetch-add on a plain double via std::atomic_ref: the host-side
+/// equivalent of CUDA atomicAdd on FP64, used when conflicting SSSSM tasks
+/// of one batch (paper §2.3, tasks 9S0/9S1) update a tile concurrently.
+/// All concurrent writers of `target` must also use atomic access.
 inline void atomic_add(real_t& target, real_t delta) {
   std::atomic_ref<real_t> ref(target);
   real_t cur = ref.load(std::memory_order_relaxed);

@@ -1,8 +1,10 @@
 #include "kernels/tile.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "kernels/dense.hpp"
+#include "kernels/simd.hpp"
 #include "support/error.hpp"
 
 namespace th {
@@ -87,6 +89,7 @@ std::vector<real_t> Tile::release_dense() {
   TH_CHECK(storage_ == Storage::kDense);
   std::vector<real_t> out = std::move(dense_);
   dense_.clear();
+  drop_nz_index();
   return out;
 }
 
@@ -96,9 +99,49 @@ void Tile::adopt_dense(std::vector<real_t> data) {
                                    << rows_ << "x" << cols_ << " tile");
   dense_ = std::move(data);
   storage_ = Storage::kDense;
+  drop_nz_index();
   col_ptr_.clear();
   row_idx_.clear();
   values_.clear();
+}
+
+void Tile::begin_nz_index() {
+  TH_CHECK(storage_ == Storage::kDense);
+  nz_bits_.assign(static_cast<std::size_t>(cols_) * nz_words_per_col(), 0);
+}
+
+void Tile::index_nonzero_cols(index_t c0, index_t c1) {
+  TH_CHECK(nz_indexed() && c0 >= 0 && c0 <= c1 && c1 <= cols_);
+  const index_t wpc = nz_words_per_col();
+  for (index_t c = c0; c < c1; ++c) {
+    const real_t* col = dense_.data() + static_cast<offset_t>(c) * rows_;
+    std::uint64_t* bits = nz_bits_.data() + static_cast<std::size_t>(c) * wpc;
+    for (index_t w = 0; w < wpc; ++w) {
+      const index_t r0 = w * 64;
+      const index_t r1 = std::min<index_t>(rows_, r0 + 64);
+      std::uint64_t word = 0;
+      for (index_t r = r0; r < r1; ++r) {
+        word |= static_cast<std::uint64_t>(col[r] != 0.0) << (r - r0);
+      }
+      bits[w] = word;
+    }
+  }
+}
+
+void Tile::index_nonzeros() {
+  begin_nz_index();
+  index_nonzero_cols(0, cols_);
+}
+
+void Tile::drop_nz_index() {
+  if (!nz_bits_.empty()) std::vector<std::uint64_t>().swap(nz_bits_);
+}
+
+offset_t Tile::nz_indexed_count() const {
+  TH_CHECK(nz_indexed());
+  offset_t n = 0;
+  for (const std::uint64_t w : nz_bits_) n += std::popcount(w);
+  return n;
 }
 
 real_t* Tile::dense_data() {
@@ -170,11 +213,18 @@ offset_t TileMatrix::total_nnz() const {
   return total;
 }
 
+void TileMatrix::drop_nz_indexes() {
+  for (auto& t : tiles_) {
+    if (t) t->drop_nz_index();
+  }
+}
+
 // ---- Tile-level kernels -------------------------------------------------
 
 void tile_getrf(Tile& diag) {
   TH_CHECK(diag.rows() == diag.cols());
   diag.densify();
+  diag.drop_nz_index();
   getrf_nopiv(diag.rows(), diag.dense_data(), diag.ld());
 }
 
@@ -182,81 +232,106 @@ void tile_tstrf(Tile& target, const Tile& diag_factored) {
   TH_CHECK(diag_factored.storage() == Tile::Storage::kDense);
   TH_CHECK(target.cols() == diag_factored.rows());
   target.densify();
+  target.drop_nz_index();
   trsm_upper_right(target.rows(), target.cols(), diag_factored.dense_data(),
                    diag_factored.ld(), target.dense_data(), target.ld());
 }
 
 void tile_geesm(Tile& target, const Tile& diag_factored) {
-  TH_CHECK(diag_factored.storage() == Tile::Storage::kDense);
-  TH_CHECK(target.rows() == diag_factored.cols());
   target.densify();
-  trsm_lower_left_unit(target.rows(), target.cols(),
-                       diag_factored.dense_data(), diag_factored.ld(),
-                       target.dense_data(), target.ld());
+  target.begin_nz_index();
+  tile_geesm_cols(target, diag_factored, 0, target.cols());
 }
 
 namespace {
 
-// Sparse-L SSSSM on columns [c0, c1): C -= L_sparse * U_dense via the
-// column-column method the paper's Executor uses — each column p of sparse
-// L scaled by U(p, j) accumulates into C(:, j). Columns are independent,
-// so a slice is bitwise identical to that part of the whole-tile kernel.
-template <bool kAtomic>
-void ssssm_sparse_l(real_t* cd, index_t ldc, const Tile& l, const Tile& u,
-                    index_t c0, index_t c1) {
+// Calls f(j, p, u(p, j)) for every indexed entry of U in columns [c0, c1):
+// column by column, rows increasing — the order of a dense scan that skips
+// zeros.
+template <typename F>
+void for_each_u_nonzero(const Tile& u, index_t c0, index_t c1, F&& f) {
   const real_t* ud = u.dense_data();
+  const index_t wpc = u.nz_words_per_col();
   for (index_t j = c0; j < c1; ++j) {
     const real_t* ucol = ud + static_cast<offset_t>(j) * u.ld();
-    real_t* ccol = cd + static_cast<offset_t>(j) * ldc;
-    for (index_t p = 0; p < l.cols(); ++p) {
-      const real_t upj = ucol[p];
-      if (upj == 0.0) continue;
-      for (offset_t q = l.col_ptr()[p]; q < l.col_ptr()[p + 1]; ++q) {
-        const real_t delta = -l.values()[q] * upj;
-        if constexpr (kAtomic) {
-          atomic_add(ccol[l.row_idx()[q]], delta);
-        } else {
-          ccol[l.row_idx()[q]] += delta;
-        }
+    const std::uint64_t* bits = u.nz_col_bits(j);
+    for (index_t w = 0; w < wpc; ++w) {
+      for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+        const index_t p = w * 64 + std::countr_zero(word);
+        f(j, p, ucol[p]);
       }
     }
   }
 }
 
+// Sparse-L SSSSM: C -= L_sparse * U via the column-column method the
+// paper's Executor uses — each column p of sparse L scaled by U(p, j)
+// accumulates into C(:, j). Returns the flops executed.
+template <bool kAtomic>
+offset_t ssssm_sparse_l(real_t* cd, index_t ldc, const Tile& l,
+                        const Tile& u, index_t c0, index_t c1) {
+  offset_t flops = 0;
+  for_each_u_nonzero(u, c0, c1, [&](index_t j, index_t p, real_t upj) {
+    real_t* ccol = cd + static_cast<offset_t>(j) * ldc;
+    flops += 2 * (l.col_ptr()[p + 1] - l.col_ptr()[p]);
+    for (offset_t q = l.col_ptr()[p]; q < l.col_ptr()[p + 1]; ++q) {
+      const real_t delta = -l.values()[q] * upj;
+      if constexpr (kAtomic) {
+        atomic_add(ccol[l.row_idx()[q]], delta);
+      } else {
+        ccol[l.row_idx()[q]] += delta;
+      }
+    }
+  });
+  return flops;
+}
+
+// Dense-L SSSSM: C(:, j) -= L(:, p) * U(p, j) per indexed U entry. The
+// plain form is one SIMD axpy; the atomic form one CAS add per element,
+// c + (-(l*u)), which rounds exactly like the plain c - l*u. Returns the
+// flops executed.
+template <bool kAtomic>
+offset_t ssssm_dense_l(real_t* cd, index_t ldc, const Tile& l,
+                       const Tile& u, index_t c0, index_t c1) {
+  const real_t* ld = l.dense_data();
+  const index_t m = l.rows();
+  offset_t pairs = 0;
+  for_each_u_nonzero(u, c0, c1, [&](index_t j, index_t p, real_t upj) {
+    ++pairs;
+    real_t* ccol = cd + static_cast<offset_t>(j) * ldc;
+    const real_t* lcol = ld + static_cast<offset_t>(p) * l.ld();
+    if constexpr (kAtomic) {
+      for (index_t i = 0; i < m; ++i) atomic_add(ccol[i], -lcol[i] * upj);
+    } else {
+      simd::axpy_minus(m, lcol, upj, ccol);
+    }
+  });
+  return 2 * static_cast<offset_t>(m) * pairs;
+}
+
 }  // namespace
 
-void tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
-                     const Tile& u, bool atomic, index_t c0, index_t c1) {
+offset_t tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
+                         const Tile& u, bool atomic, index_t c0, index_t c1) {
   TH_CHECK(l.cols() == u.rows());
   // The U operand is consumed dense in both paths (the paper gathers the
-  // right operand into dense shared memory).
-  TH_CHECK_MSG(u.storage() == Tile::Storage::kDense,
-               "SSSSM requires a factored (dense) U operand");
+  // right operand into dense shared memory), through its nonzero index.
+  TH_CHECK_MSG(u.storage() == Tile::Storage::kDense && u.nz_indexed(),
+               "SSSSM requires a factored (dense, indexed) U operand");
   TH_CHECK(c0 >= 0 && c0 <= c1 && c1 <= u.cols());
-  if (c0 == c1) return;
   if (l.storage() == Tile::Storage::kSparse) {
-    if (atomic) {
-      ssssm_sparse_l<true>(c_data, ldc, l, u, c0, c1);
-    } else {
-      ssssm_sparse_l<false>(c_data, ldc, l, u, c0, c1);
-    }
-    return;
+    return atomic ? ssssm_sparse_l<true>(c_data, ldc, l, u, c0, c1)
+                  : ssssm_sparse_l<false>(c_data, ldc, l, u, c0, c1);
   }
-  real_t* cs = c_data + static_cast<offset_t>(c0) * ldc;
-  const real_t* us = u.dense_data() + static_cast<offset_t>(c0) * u.ld();
-  if (atomic) {
-    gemm_minus_atomic(l.rows(), c1 - c0, l.cols(), l.dense_data(), l.ld(),
-                      us, u.ld(), cs, ldc);
-  } else {
-    gemm_minus(l.rows(), c1 - c0, l.cols(), l.dense_data(), l.ld(), us,
-               u.ld(), cs, ldc);
-  }
+  return atomic ? ssssm_dense_l<true>(c_data, ldc, l, u, c0, c1)
+                : ssssm_dense_l<false>(c_data, ldc, l, u, c0, c1);
 }
 
 void tile_ssssm(Tile& c, const Tile& l, const Tile& u, bool atomic) {
   TH_CHECK(l.cols() == u.rows());
   TH_CHECK(c.rows() == l.rows() && c.cols() == u.cols());
   c.densify();
+  c.drop_nz_index();
   tile_ssssm_cols(c.dense_data(), c.ld(), l, u, atomic, 0, c.cols());
 }
 
@@ -279,8 +354,9 @@ void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
 void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
                      index_t c1) {
   TH_CHECK(diag_factored.storage() == Tile::Storage::kDense);
-  TH_CHECK_MSG(target.storage() == Tile::Storage::kDense,
-               "sliced GEESM needs a prepared (dense) target");
+  TH_CHECK_MSG(target.storage() == Tile::Storage::kDense &&
+                   target.nz_indexed(),
+               "sliced GEESM needs a prepared (dense, index begun) target");
   TH_CHECK(target.rows() == diag_factored.cols());
   TH_CHECK(c0 >= 0 && c0 <= c1 && c1 <= target.cols());
   if (c0 == c1) return;
@@ -289,6 +365,7 @@ void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
       diag_factored.ld(),
       target.dense_data() + static_cast<offset_t>(c0) * target.ld(),
       target.ld());
+  target.index_nonzero_cols(c0, c1);
 }
 
 }  // namespace th

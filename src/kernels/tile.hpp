@@ -1,11 +1,22 @@
 // Tiles: the unit of storage and computation of the PLU (PanguLU-style)
-// solver core. A tile starts out sparse (CSC within the tile) if its
-// density is below a threshold and is densified on first write — original
-// A-tiles are genuinely read through sparse kernels, while factor output is
-// stored dense (simplification documented in DESIGN.md §7; the *cost
-// model* uses symbolic sparsity, so scheduling behaviour is unaffected).
+// solver core. A tile is assembled sparse (CSC within the tile) and
+// densified before it is first written — the PLU backend stages every
+// tile dense on the executor's lanes ahead of the first batch — so factor
+// output is stored dense (simplification documented in DESIGN.md §7; the
+// *cost model* uses symbolic sparsity, so scheduling behaviour is
+// unaffected).
+//
+// A factored U tile is mostly zeros even though it is stored dense, so it
+// carries a nonzero index: one bit per entry, set where the entry is
+// != 0.0, which SSSSM walks instead of scanning the dense operand. The
+// GEESM that writes the tile builds the index (each slice indexes its own
+// columns); a later write drops or re-derives it (DESIGN.md §4 lists the
+// lifecycle). Per column, SSSSM visits the rows whose entry compares
+// != 0.0 in increasing order — the operation sequence of a dense scan that
+// skips zeros — so its results are bitwise those of that scan.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -54,6 +65,39 @@ class Tile {
   /// payload byte-exact.
   void adopt_dense(std::vector<real_t> data);
 
+  // ---- Nonzero index (dense storage only) -------------------------------
+  //
+  // Bit r of column c's words is set iff entry (r, c) != 0.0: NaN and Inf
+  // are indexed, +0.0 and -0.0 are not. Columns are padded to whole 64-bit
+  // words, so distinct columns never share a word and disjoint column
+  // ranges can be indexed concurrently. Only code that owns the tile
+  // exclusively creates or frees the index — begin_nz_index(),
+  // index_nonzeros(), drop_nz_index(), and release_dense()/adopt_dense(),
+  // which drop it — never concurrent slices. Sparse tiles have none.
+
+  /// Whether the index is present. Writers to the dense buffer through
+  /// dense_data() must drop or rebuild it.
+  bool nz_indexed() const { return !nz_bits_.empty(); }
+  /// Exclusive: allocate an all-clear index and mark it present. The
+  /// caller then fills every column with index_nonzero_cols() before any
+  /// reader runs — the GEESM slices that write a U tile do exactly that.
+  void begin_nz_index();
+  /// Index columns [c0, c1) from the dense buffer. Safe to call
+  /// concurrently for disjoint column ranges after begin_nz_index().
+  void index_nonzero_cols(index_t c0, index_t c1);
+  /// Exclusive: begin_nz_index() plus every column.
+  void index_nonzeros();
+  /// Exclusive: forget and free the index.
+  void drop_nz_index();
+  /// 64-bit words per column of the index.
+  index_t nz_words_per_col() const { return (rows_ + 63) / 64; }
+  /// Column c's index words; requires nz_indexed().
+  const std::uint64_t* nz_col_bits(index_t c) const {
+    return nz_bits_.data() + static_cast<std::size_t>(c) * nz_words_per_col();
+  }
+  /// Indexed entries of the whole tile; requires nz_indexed().
+  offset_t nz_indexed_count() const;
+
   /// Sparse view; requires sparse storage.
   const std::vector<offset_t>& col_ptr() const { return col_ptr_; }
   const std::vector<index_t>& row_idx() const { return row_idx_; }
@@ -66,15 +110,18 @@ class Tile {
   index_t rows_;
   index_t cols_;
   Storage storage_ = Storage::kSparse;
+  bool frozen_ = false;
   // Sparse (CSC) representation.
   std::vector<offset_t> col_ptr_;
   std::vector<index_t> row_idx_;
   std::vector<real_t> values_;
-  bool frozen_ = false;
   std::vector<index_t> pending_cols_;  // column of each inserted entry,
                                        // consumed by freeze()
   // Dense representation (column-major, ld = rows_).
   std::vector<real_t> dense_;
+  // Nonzero index of dense_, cols_ * nz_words_per_col() words; empty when
+  // absent (see nz_indexed()).
+  std::vector<std::uint64_t> nz_bits_;
 };
 
 /// The tiled matrix: owns one Tile per structurally present block of the
@@ -95,6 +142,10 @@ class TileMatrix {
   /// diagonal counted once).
   offset_t total_nnz() const;
 
+  /// Free every tile's nonzero index (end of the numeric phase: the
+  /// solves read the dense buffers only). Serial.
+  void drop_nz_indexes();
+
  private:
   TilePattern pattern_;
   std::vector<std::unique_ptr<Tile>> tiles_;
@@ -102,19 +153,23 @@ class TileMatrix {
 
 // ---- Tile-level numeric kernels (the four task bodies) -----------------
 
-/// GETRF: in-place LU of a diagonal tile (densifies it).
+// The whole-tile forms densify their target and drop its nonzero index
+// (GEESM rebuilds it: its output is an SSSSM U operand).
+
+/// GETRF: in-place LU of a diagonal tile.
 void tile_getrf(Tile& diag);
 
-/// TSTRF: L(i,k) = A(i,k) * U(k,k)^{-1}; densifies the target.
+/// TSTRF: L(i,k) = A(i,k) * U(k,k)^{-1}.
 void tile_tstrf(Tile& target, const Tile& diag_factored);
 
-/// GEESM: U(k,j) = L(k,k)^{-1} * A(k,j); densifies the target.
+/// GEESM: U(k,j) = L(k,k)^{-1} * A(k,j); leaves the target indexed.
 void tile_geesm(Tile& target, const Tile& diag_factored);
 
-/// SSSSM: C(i,j) -= L(i,k) * U(k,j). Sparse L tiles use the column-column
-/// sparse kernel from the paper's Executor; dense inputs use gemm_minus.
-/// With `atomic` set, accumulation into C uses atomic adds so conflicting
-/// updates may run concurrently within a batch.
+/// SSSSM: C(i,j) -= L(i,k) * U(k,j), walking U's nonzero index (U must
+/// be indexed, as for tile_ssssm_cols). Sparse L tiles use the column-column sparse kernel
+/// from the paper's Executor; dense L tiles take one axpy per indexed U
+/// entry. With `atomic` set, accumulation into C uses atomic adds so
+/// conflicting updates may run concurrently within a batch.
 void tile_ssssm(Tile& c, const Tile& l, const Tile& u, bool atomic);
 
 // ---- Block-sliced (re-entrant) kernel forms ----------------------------
@@ -126,19 +181,24 @@ void tile_ssssm(Tile& c, const Tile& l, const Tile& u, bool atomic);
 // task need no synchronisation beyond a densified target.
 
 /// TSTRF restricted to target rows [r0, r1). Target must already be dense
-/// (NumericBackend::prepare_task densifies it once, serially).
+/// (the PLU backend stages every tile dense before the first batch).
 void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
                      index_t r1);
 
-/// GEESM restricted to target columns [c0, c1). Target must be dense.
+/// GEESM restricted to target columns [c0, c1), then indexes the nonzeros
+/// of those columns. Target must be dense, with begin_nz_index() called
+/// (the PLU backend's staging and prepare_task, before any slice runs).
 void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
                      index_t c1);
 
 /// SSSSM on target columns [c0, c1), accumulating into `c_data` (leading
 /// dimension ldc, same shape as the target tile) — either the target's
 /// dense storage or a deterministic-mode scratch buffer. `atomic` selects
-/// atomic accumulation for write-conflicting batch members.
-void tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
-                     const Tile& u, bool atomic, index_t c0, index_t c1);
+/// atomic accumulation for write-conflicting batch members. U must be
+/// indexed (nz_indexed()); only its indexed entries are visited, each as
+/// one column update of C in increasing row order. Returns the flops
+/// executed: 2 per L(:, p) entry updated, for every indexed U(p, j).
+offset_t tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
+                         const Tile& u, bool atomic, index_t c0, index_t c1);
 
 }  // namespace th

@@ -1,5 +1,6 @@
 #include "solvers/driver.hpp"
 
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "solvers/refine.hpp"
 #include "sparse/ops.hpp"
@@ -106,8 +107,26 @@ ScheduleResult SolverInstance::run_numeric(const ScheduleOptions& opt) {
   TH_CHECK_MSG(!numeric_done_,
                "run_numeric() may be called once per SolverInstance");
   NumericBackend* backend = plu_ ? &plu_->backend() : &slu_->backend();
+  // The U tiles' nonzero indexes serve the SSSSM updates only: free them
+  // when the numeric phase ends, however it ends, so cached factors carry
+  // just their dense tiles.
+  struct DropIndexes {
+    PluFactorization* plu;
+    ~DropIndexes() {
+      if (plu != nullptr) plu->tiles().drop_nz_indexes();
+    }
+  } drop{plu_.get()};
   ScheduleResult r = simulate(graph(), opt, backend);
   numeric_done_ = true;
+  if (plu_ && obs::enabled()) {
+    // Host-executed SSSSM flops next to the model's (kernels' flops_model
+    // in the benches): the PLU slices report SSSSM flops only, summed per
+    // lane over every slice that ran — skipped members add nothing,
+    // re-runs add again.
+    obs::Registry::global()
+        .counter("th.host.flops.ssssm")
+        .add(r.stats().exec.flops);
+  }
   return r;
 }
 

@@ -17,7 +17,7 @@ class PluFactorization::Backend : public NumericBackend {
  public:
   explicit Backend(TileMatrix& tiles) : tiles_(tiles), abft_guard_(tiles) {}
 
-  void run_task(const Task& t, bool atomic) override {
+  void run_task(const Task& t, bool /*atomic*/) override {
     switch (t.type) {
       case TaskType::kGetrf:
         tile_getrf(*tiles_.tile(t.row, t.col));
@@ -28,61 +28,76 @@ class PluFactorization::Backend : public NumericBackend {
       case TaskType::kGeesm:
         tile_geesm(*tiles_.tile(t.row, t.col), *tiles_.tile(t.k, t.k));
         break;
-      case TaskType::kSsssm: {
-        Tile& c = *tiles_.tile(t.row, t.col);
-        if (atomic) {
-          // Concurrent conflicting updates: densification of the shared
-          // target must happen exactly once, under the lock; the
-          // accumulation itself is atomic and lock-free.
-          std::lock_guard<std::mutex> lk(
-              densify_mu_[static_cast<std::size_t>(t.row * 31 + t.col) %
-                          kMutexes]);
-          c.densify();
-        }
-        tile_ssssm(c, *tiles_.tile(t.row, t.k), *tiles_.tile(t.k, t.col),
-                   atomic);
+      case TaskType::kSsssm:
+        // SSSSM has a block body and a scratch size, so the executor never
+        // runs it whole: neither as a fallback nor serialised in det mode.
+        TH_CHECK_MSG(false, "PLU SSSSM runs through run_blocks only");
         break;
-      }
     }
   }
 
   // ---- Block-level API (exec::BatchExecutor) ----------------------------
 
-  void prepare_task(const Task& t) override {
-    // Densify the output tile once, serially, so concurrent slices write
-    // disjoint rows/columns of a stable buffer. GETRF has no block body
-    // (sequential elimination) — its whole-task fallback densifies itself.
-    if (t.type != TaskType::kGetrf) tiles_.tile(t.row, t.col)->densify();
+  // Every tile of the pattern is written by the factorization (GETRF,
+  // TSTRF or GEESM at least), so the run densifies them all up front, on
+  // the executor's lanes: each tile's first-touch allocation then stays
+  // off the per-batch serial prologue.
+  std::size_t stage_jobs() override {
+    stage_.clear();
+    for (index_t i = 0; i < tiles_.nt(); ++i) {
+      for (index_t j = 0; j < tiles_.nt(); ++j) {
+        Tile* t = tiles_.tile(i, j);
+        if (t != nullptr && t->storage() == Tile::Storage::kSparse) {
+          stage_.push_back(t);
+        }
+      }
+    }
+    return stage_.size();
   }
 
-  bool run_blocks(const Task& t, index_t b0, index_t b1, bool atomic,
-                  real_t* into) override {
+  void stage_run(std::size_t job) override { stage_[job]->densify(); }
+
+  void prepare_task(const Task& t) override {
+    // Staging left every tile dense, so concurrent slices write disjoint
+    // rows/columns of a stable buffer (the sliced kernels refuse a sparse
+    // target). What is left is the nonzero index of a GEESM output — an
+    // SSSSM U operand — whose columns its slices fill. No other target
+    // carries an index when its task runs (a U tile is indexed by its
+    // GEESM, its last write), which the slices check, so the serial
+    // prologue touches no other member's tile.
+    if (t.type == TaskType::kGeesm) {
+      tiles_.tile(t.row, t.col)->begin_nz_index();
+    }
+  }
+
+  // Only SSSSM reports its flops: the executed count of the one kernel
+  // whose host work departs from the model's (it walks U's nonzeros).
+  offset_t run_blocks(const Task& t, index_t b0, index_t b1, bool atomic,
+                      real_t* into) override {
     switch (t.type) {
       case TaskType::kGetrf:
-        return false;  // within-tile elimination is sequential
+        return -1;  // within-tile elimination is sequential
       case TaskType::kTstrf:
         // cuda_blocks = target rows (one block per row).
-        tile_tstrf_rows(*tiles_.tile(t.row, t.col), *tiles_.tile(t.k, t.k),
-                        b0, b1);
-        return true;
+        tile_tstrf_rows(unindexed_target(t), *tiles_.tile(t.k, t.k), b0, b1);
+        return 0;
       case TaskType::kGeesm:
         // cuda_blocks = target columns.
         tile_geesm_cols(*tiles_.tile(t.row, t.col), *tiles_.tile(t.k, t.k),
                         b0, b1);
-        return true;
+        return 0;
       case TaskType::kSsssm: {
         // cuda_blocks = target columns. `into` (deterministic mode) is a
         // zeroed scratch of the target's shape: the slice accumulates
         // -L*U there and apply_scratch folds it in batch order.
-        Tile& c = *tiles_.tile(t.row, t.col);
+        Tile& c = unindexed_target(t);
         real_t* out = into != nullptr ? into : c.dense_data();
-        tile_ssssm_cols(out, c.ld(), *tiles_.tile(t.row, t.k),
-                        *tiles_.tile(t.k, t.col),
-                        into == nullptr && atomic, b0, b1);
-        return true;
+        return tile_ssssm_cols(out, c.ld(), *tiles_.tile(t.row, t.k),
+                               *tiles_.tile(t.k, t.col),
+                               into == nullptr && atomic, b0, b1);
       }
     }
-    return false;
+    return -1;
   }
 
   offset_t scratch_size(const Task& t) override {
@@ -92,8 +107,8 @@ class PluFactorization::Backend : public NumericBackend {
   }
 
   void apply_scratch(const Task& t, const real_t* scratch) override {
-    Tile& c = *tiles_.tile(t.row, t.col);
-    real_t* d = c.dense_data();  // prepare_task densified it
+    Tile& c = unindexed_target(t);
+    real_t* d = c.dense_data();
     const offset_t n = static_cast<offset_t>(c.rows()) * c.cols();
     for (offset_t i = 0; i < n; ++i) d[i] += scratch[i];
   }
@@ -102,6 +117,7 @@ class PluFactorization::Backend : public NumericBackend {
     Tile* tile = tiles_.tile(t.row, t.col);
     if (tile == nullptr) return false;
     tile->densify();
+    const ReindexOnExit reindex(*tile);
     real_t* d = tile->dense_data();
     const auto ld = static_cast<offset_t>(tile->ld());
     if (silent_fault_kind(kind)) {
@@ -196,9 +212,11 @@ class PluFactorization::Backend : public NumericBackend {
       }
     }
     // The scrub rewrote tile entries behind the checksum carry's back;
-    // drop any banked sums so the next capture re-derives them.
+    // drop any banked sums so the next capture re-derives them, and
+    // re-derive the nonzero index if the tile carries one.
     if (g.nonfinite_scrubbed > 0 || g.pivots_perturbed > 0) {
       abft_guard_.invalidate(t);
+      if (tile->nz_indexed()) tile->index_nonzeros();
     }
     return g;
   }
@@ -227,7 +245,12 @@ class PluFactorization::Backend : public NumericBackend {
     return abft_guard_.verify(t, rel_tol);
   }
 
-  void abft_rollback(const Task& t) override { abft_guard_.rollback(t); }
+  void abft_rollback(const Task& t) override {
+    abft_guard_.rollback(t);
+    // Back to the pre-batch values: the task re-runs in a later batch and,
+    // if it is the tile's GEESM, indexes it again.
+    tiles_.tile(t.row, t.col)->drop_nz_index();
+  }
 
   void abft_reset() override { abft_guard_.reset(); }
 
@@ -246,14 +269,38 @@ class PluFactorization::Backend : public NumericBackend {
   void restore_block(const Task& t, const std::vector<real_t>& data) override {
     Tile* tile = tiles_.tile(t.row, t.col);
     if (tile == nullptr || data.empty()) return;
+    const ReindexOnExit reindex(*tile);
     tile->adopt_dense(data);  // byte-exact: det-mode output is unchanged
   }
 
  private:
-  static constexpr std::size_t kMutexes = 64;
+  // Serial writers that replace a tile's values in place keep its nonzero
+  // index present if it was: a factored U tile stays readable by the
+  // SSSSMs still to come (tile_ssssm_cols refuses an unindexed U), and
+  // the rebuilt index describes the new values.
+  class ReindexOnExit {
+   public:
+    explicit ReindexOnExit(Tile& t) : t_(t), was_(t.nz_indexed()) {}
+    ~ReindexOnExit() {
+      if (was_) t_.index_nonzeros();
+    }
+
+   private:
+    Tile& t_;
+    bool was_;
+  };
+
+  // The target of a TSTRF or SSSSM write: never an indexed U tile, or
+  // the index would go stale under the write — loud, not stale.
+  Tile& unindexed_target(const Task& t) {
+    Tile& c = *tiles_.tile(t.row, t.col);
+    TH_CHECK_MSG(!c.nz_indexed(), "task " << t.id << " writes an indexed tile");
+    return c;
+  }
+
   TileMatrix& tiles_;
   abft::TileGuard abft_guard_;
-  std::mutex densify_mu_[kMutexes];
+  std::vector<Tile*> stage_;  // tiles stage_run() densifies, by job
 };
 
 // ---- Construction ---------------------------------------------------------

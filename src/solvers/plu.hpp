@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 
 #include "core/scheduler.hpp"
 #include "kernels/tile.hpp"

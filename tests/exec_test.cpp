@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -15,9 +16,11 @@
 #include "exec/block_map.hpp"
 #include "exec/worker_pool.hpp"
 #include "gen/generators.hpp"
+#include "kernels/tile.hpp"
 #include "sim/cluster.hpp"
 #include "solvers/driver.hpp"
 #include "sparse/ops.hpp"
+#include "support/rng.hpp"
 
 namespace th {
 namespace {
@@ -178,9 +181,9 @@ class MockBackend : public NumericBackend {
     prepared_.insert(t.id);
   }
 
-  bool run_blocks(const Task& t, index_t b0, index_t b1, bool atomic,
-                  real_t* into) override {
-    if (t.type == TaskType::kGetrf) return false;  // sequential body
+  offset_t run_blocks(const Task& t, index_t b0, index_t b1, bool atomic,
+                      real_t* into) override {
+    if (t.type == TaskType::kGetrf) return -1;  // sequential body
     EXPECT_TRUE(b0 >= 0 && b0 < b1 && b1 <= t.cost.cuda_blocks);
     covered_[static_cast<std::size_t>(t.id)].fetch_add(b1 - b0);
     if (atomic) saw_atomic_ = true;
@@ -191,7 +194,7 @@ class MockBackend : public NumericBackend {
       // column range per block).
       for (index_t b = b0; b < b1; ++b) into[b] += 1.0;
     }
-    return true;
+    return b1 - b0;  // one "flop" per block
   }
 
   offset_t scratch_size(const Task& t) override {
@@ -241,6 +244,9 @@ TEST(BatchExecutor, EveryBlockRunsExactlyOnce) {
     EXPECT_TRUE(mock.whole_.empty());
     EXPECT_GT(ex.stats().slices, 0);
     EXPECT_EQ(ex.stats().fallback_tasks, 0);
+    offset_t blocks = 0;
+    for (const Task& t : storage) blocks += t.cost.cuda_blocks;
+    EXPECT_EQ(ex.stats().flops, blocks);  // every lane's slices summed
   }
 }
 
@@ -261,17 +267,97 @@ TEST(BatchExecutor, SequentialTaskFallsBackWholeOnFirstBlockLane) {
   EXPECT_EQ(ex.stats().fallback_tasks, 1);
 }
 
-TEST(BatchExecutor, AtomicModePassesFlagThrough) {
+TEST(BatchExecutor, AtomicModePassesFlagThroughOnTwoLanes) {
   std::vector<Task> storage = {make_task(TaskType::kSsssm, 0, 4),
                                make_task(TaskType::kSsssm, 1, 4)};
   std::vector<const Task*> batch = {&storage[0], &storage[1]};
   MockBackend mock(2);
   exec::BatchExecOptions opt;
+  opt.n_threads = 2;
   opt.accum = exec::AccumMode::kAtomic;
   exec::BatchExecutor ex(opt);
   ex.execute(mock, batch, std::vector<char>{1, 1}, nullptr);
   EXPECT_TRUE(mock.saw_atomic_.load());
   EXPECT_TRUE(mock.folded_.empty());  // no scratch in atomic mode
+}
+
+/// Two SSSSM members updating one shared target tile C through the real
+/// tile kernel: member m computes C -= L[m] * U[m].
+class SharedTargetBackend : public NumericBackend {
+ public:
+  SharedTargetBackend(index_t n, std::uint64_t seed) : c_(n, n) {
+    Rng rng(seed);
+    auto fill = [&](Tile& t, real_t density) {
+      for (index_t col = 0; col < n; ++col) {
+        for (index_t r = 0; r < n; ++r) {
+          if (rng.next_real() < density) t.insert(r, col, rng.uniform(-1, 1));
+        }
+      }
+      t.freeze();
+      t.densify();
+    };
+    fill(c_, 1.0);
+    for (int m = 0; m < 2; ++m) {
+      l_.emplace_back(n, n);
+      fill(l_.back(), 1.0);
+      u_.emplace_back(n, n);
+      fill(u_.back(), 0.2);
+      u_.back().index_nonzeros();
+    }
+  }
+
+  void run_task(const Task&, bool) override { FAIL() << "sliced only"; }
+
+  offset_t run_blocks(const Task& t, index_t b0, index_t b1, bool atomic,
+                      real_t* into) override {
+    EXPECT_EQ(into, nullptr);
+    if (atomic) saw_atomic_ = true;
+    const auto m = static_cast<std::size_t>(t.id);
+    return tile_ssssm_cols(c_.dense_data(), c_.ld(), l_[m], u_[m], atomic, b0,
+                           b1);
+  }
+
+  /// The same two updates, whole and in batch order, with CAS accumulation.
+  std::vector<real_t> atomic_reference(const std::vector<real_t>& c0) const {
+    std::vector<real_t> c = c0;
+    for (std::size_t m = 0; m < 2; ++m) {
+      tile_ssssm_cols(c.data(), c_.ld(), l_[m], u_[m], /*atomic=*/true, 0,
+                      c_.cols());
+    }
+    return c;
+  }
+
+  std::vector<real_t> c_values() const {
+    const real_t* d = c_.dense_data();
+    return {d, d + static_cast<std::size_t>(c_.rows()) * c_.cols()};
+  }
+
+  Tile c_;
+  std::vector<Tile> l_, u_;
+  bool saw_atomic_ = false;
+};
+
+TEST(BatchExecutor, SingleLaneRunsAtomicConflictsInPlaceBitwise) {
+  const index_t n = 24;
+  std::vector<Task> storage = {make_task(TaskType::kSsssm, 0, n),
+                               make_task(TaskType::kSsssm, 1, n)};
+  std::vector<const Task*> batch = {&storage[0], &storage[1]};
+  SharedTargetBackend be(n, 41);
+  const std::vector<real_t> expect = be.atomic_reference(be.c_values());
+  exec::BatchExecOptions opt;
+  opt.n_threads = 1;
+  opt.accum = exec::AccumMode::kAtomic;
+  opt.chunk_blocks = 5;  // members straddle chunk boundaries
+  exec::BatchExecutor ex(opt);
+  ex.execute(be, batch, std::vector<char>{1, 1}, nullptr);
+  // No lane can race, so the conflicting members ran with plain writes —
+  // and c - l*u rounds exactly like the CAS path's c + (-(l*u)).
+  EXPECT_FALSE(be.saw_atomic_);
+  const std::vector<real_t> got = be.c_values();
+  ASSERT_EQ(got.size(), expect.size());
+  EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                        got.size() * sizeof(real_t)),
+            0);
 }
 
 TEST(BatchExecutor, DeterministicModeFoldsScratchInBatchOrder) {
@@ -422,6 +508,7 @@ TEST(BatchExecutor, SkippedMembersNeverExecute) {
   EXPECT_EQ(mock.coverage(2), 4);
   EXPECT_EQ(mock.prepared_.count(0), 0u);
   EXPECT_EQ(mock.prepared_.count(2), 1u);
+  EXPECT_EQ(ex.stats().flops, 4);  // skipped members report nothing
 }
 
 // ---- End-to-end parallel factorisation ---------------------------------

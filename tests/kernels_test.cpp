@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -9,6 +10,11 @@
 #include "kernels/flops.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/tile.hpp"
+#include "mem/mem.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
+#include "sim/cluster.hpp"
+#include "solvers/driver.hpp"
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
 
@@ -123,20 +129,6 @@ TEST(DenseGemm, MinusMatchesReference) {
   }
 }
 
-TEST(DenseGemm, AtomicMatchesPlainSequentially) {
-  Rng rng(13);
-  const index_t m = 4, k = 3, n = 5;
-  std::vector<real_t> a(static_cast<std::size_t>(m) * k);
-  std::vector<real_t> b(static_cast<std::size_t>(k) * n);
-  for (real_t& v : a) v = rng.uniform(-1.0, 1.0);
-  for (real_t& v : b) v = rng.uniform(-1.0, 1.0);
-  std::vector<real_t> c1(static_cast<std::size_t>(m) * n, 1.0);
-  std::vector<real_t> c2 = c1;
-  gemm_minus(m, n, k, a.data(), m, b.data(), k, c1.data(), m);
-  gemm_minus_atomic(m, n, k, a.data(), m, b.data(), k, c2.data(), m);
-  for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_DOUBLE_EQ(c1[i], c2[i]);
-}
-
 TEST(AtomicAdd, ConcurrentAccumulationIsExact) {
   // Sum of integers is exact in FP64, so concurrent accumulation must give
   // the exact total regardless of interleaving.
@@ -215,6 +207,7 @@ TEST(TileKernels, SsssmSparseMatchesDense) {
   l_dense.densify();
   Tile u = make_sparse_tile(5, 7, 0.8);
   u.densify();
+  u.index_nonzeros();
   Tile c1 = make_sparse_tile(6, 7, 0.5);
   Tile c2 = c1;
   tile_ssssm(c1, l_sparse, u, /*atomic=*/false);
@@ -275,6 +268,458 @@ TEST(Flops, CountsArePositiveAndMonotone) {
   EXPECT_EQ(gemm_flops(2, 3, 4), 48);
   EXPECT_EQ(gemm_flops(2, 3, 4, 0.5), 24);
   EXPECT_EQ(words_to_bytes(10), 80);
+}
+
+// ---- Indexed SSSSM --------------------------------------------------------
+
+// A tile filled from `rng`: each entry present with probability `density`.
+Tile random_tile(index_t rows, index_t cols, real_t density, Rng& rng) {
+  Tile t(rows, cols);
+  for (index_t c = 0; c < cols; ++c) {
+    for (index_t r = 0; r < rows; ++r) {
+      if (rng.next_real() < density) t.insert(r, c, rng.uniform(-1, 1));
+    }
+  }
+  t.freeze();
+  return t;
+}
+
+// A dense-stored U operand, ~15% nonzero, salted with the entries the
+// index must get right: -0.0 (skipped, like +0.0), NaN and +-Inf
+// (visited: they compare != 0.0). 70 rows spans two index words.
+Tile salted_u(Rng& rng) {
+  Tile u = random_tile(70, 9, 0.15, rng);
+  u.densify();
+  std::vector<real_t> d(u.dense_data(), u.dense_data() + 70 * 9);
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  d[3] = -0.0;
+  d[70 + 64] = -0.0;
+  d[2 * 70 + 5] = std::numeric_limits<real_t>::quiet_NaN();
+  d[4 * 70 + 66] = inf;
+  d[6 * 70 + 0] = -inf;
+  d[8 * 70 + 69] = 0.5;
+  u.adopt_dense(std::move(d));
+  u.index_nonzeros();
+  return u;
+}
+
+// The SSSSM body before the index: scan every U entry of columns [c0, c1),
+// skip u == 0.0, and apply one column update per remaining entry.
+void scan_ssssm(real_t* cd, index_t ldc, const Tile& l, const Tile& u,
+                bool atomic, index_t c0, index_t c1) {
+  const real_t* ud = u.dense_data();
+  for (index_t j = c0; j < c1; ++j) {
+    real_t* ccol = cd + static_cast<offset_t>(j) * ldc;
+    for (index_t p = 0; p < u.rows(); ++p) {
+      const real_t upj = ud[p + static_cast<offset_t>(j) * u.ld()];
+      if (upj == 0.0) continue;
+      if (l.storage() == Tile::Storage::kSparse) {
+        for (offset_t q = l.col_ptr()[p]; q < l.col_ptr()[p + 1]; ++q) {
+          const real_t delta = -l.values()[q] * upj;
+          if (atomic) {
+            atomic_add(ccol[l.row_idx()[q]], delta);
+          } else {
+            ccol[l.row_idx()[q]] += delta;
+          }
+        }
+        continue;
+      }
+      const real_t* lcol = l.dense_data() + static_cast<offset_t>(p) * l.ld();
+      if (atomic) {
+        for (index_t i = 0; i < l.rows(); ++i) {
+          atomic_add(ccol[i], -lcol[i] * upj);
+        }
+      } else {
+        simd::axpy_minus(l.rows(), lcol, upj, ccol);
+      }
+    }
+  }
+}
+
+TEST(TileIndex, BitsMarkExactlyTheEntriesThatCompareNonzero) {
+  Rng rng(51);
+  Tile u = salted_u(rng);
+  ASSERT_TRUE(u.nz_indexed());
+  ASSERT_EQ(u.nz_words_per_col(), 2);
+  offset_t set = 0;
+  for (index_t c = 0; c < u.cols(); ++c) {
+    const std::uint64_t* bits = u.nz_col_bits(c);
+    for (index_t r = 0; r < u.rows(); ++r) {
+      const bool bit = (bits[r / 64] >> (r % 64)) & 1u;
+      EXPECT_EQ(bit, u.at(r, c) != 0.0) << r << "," << c;
+      set += bit;
+    }
+    // Padding rows beyond the tile stay clear.
+    EXPECT_EQ(bits[1] >> (u.rows() - 64), 0u);
+  }
+  EXPECT_EQ(u.nz_indexed_count(), set);
+  EXPECT_EQ(u.nz_indexed_count(), u.nnz());
+}
+
+TEST(TileIndex, IndexedSsssmMatchesScanBitwiseOnEverySlice) {
+  Rng rng(53);
+  const Tile u = salted_u(rng);
+  Tile l_sparse = random_tile(11, 70, 0.3, rng);
+  Tile l_dense = random_tile(11, 70, 1.0, rng);
+  l_dense.densify();
+  Tile c0_tile = random_tile(11, 9, 1.0, rng);
+  c0_tile.densify();
+  const std::vector<real_t> c0(c0_tile.dense_data(),
+                               c0_tile.dense_data() + 11 * 9);
+  enum class Accum { kPlain, kAtomic, kScratch };
+  for (const Tile* l : {&l_sparse, &l_dense}) {
+    for (const Accum acc : {Accum::kPlain, Accum::kAtomic, Accum::kScratch}) {
+      for (index_t a = 0; a <= u.cols(); ++a) {
+        for (index_t b = a; b <= u.cols(); ++b) {
+          // Det mode accumulates into a zeroed scratch of the target shape.
+          std::vector<real_t> got =
+              acc == Accum::kScratch ? std::vector<real_t>(c0.size(), 0.0) : c0;
+          std::vector<real_t> want = got;
+          const bool atomic = acc == Accum::kAtomic;
+          tile_ssssm_cols(got.data(), 11, *l, u, atomic, a, b);
+          scan_ssssm(want.data(), 11, *l, u, atomic, a, b);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(real_t)),
+                    0)
+              << (l == &l_sparse ? "sparse" : "dense") << " L, accum "
+              << static_cast<int>(acc) << ", columns [" << a << ", " << b
+              << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(TileIndex, WritesDropTheIndexAndSsssmSeesNewValues) {
+  Rng rng(55);
+  Tile u = random_tile(16, 16, 0.1, rng);
+  u.densify();
+  u.index_nonzeros();
+  // Adopting a payload with a different zero pattern must not leave the
+  // old index behind: SSSSM refuses the unindexed U until it is rebuilt
+  // from the new values.
+  const Tile fresh_src = random_tile(16, 16, 0.4, rng);
+  Tile fresh = fresh_src;
+  fresh.densify();
+  u.adopt_dense(std::vector<real_t>(fresh.dense_data(),
+                                    fresh.dense_data() + 16 * 16));
+  EXPECT_FALSE(u.nz_indexed());
+  Tile l = random_tile(16, 16, 1.0, rng);
+  l.densify();
+  Tile c = random_tile(16, 16, 1.0, rng);
+  c.densify();
+  std::vector<real_t> want(c.dense_data(), c.dense_data() + 16 * 16);
+  scan_ssssm(want.data(), 16, l, fresh, false, 0, 16);
+  EXPECT_THROW(tile_ssssm(c, l, u, /*atomic=*/false), Error);
+  u.index_nonzeros();
+  tile_ssssm(c, l, u, /*atomic=*/false);
+  EXPECT_EQ(std::memcmp(c.dense_data(), want.data(),
+                        want.size() * sizeof(real_t)),
+            0);
+
+  std::vector<real_t> spilled = u.release_dense();
+  EXPECT_FALSE(u.nz_indexed());
+  u.adopt_dense(std::move(spilled));
+  u.index_nonzeros();
+  // Whole-tile kernels: every output drops its index except GEESM's,
+  // which is an SSSSM U operand and leaves it built.
+  Tile diag = random_tile(16, 16, 1.0, rng);
+  for (index_t i = 0; i < 16; ++i) {
+    diag.densify();
+    diag.dense_data()[i + 16 * i] += 20.0;
+  }
+  tile_getrf(diag);
+  tile_tstrf(u, diag);
+  EXPECT_FALSE(u.nz_indexed());
+  tile_geesm(u, diag);
+  EXPECT_TRUE(u.nz_indexed());
+  for (index_t col = 0; col < 16; ++col) {
+    for (index_t r = 0; r < 16; ++r) {
+      EXPECT_EQ((u.nz_col_bits(col)[0] >> r) & 1u, u.at(r, col) != 0.0);
+    }
+  }
+  fresh.index_nonzeros();
+  tile_ssssm(u, l, fresh, /*atomic=*/false);
+  EXPECT_FALSE(u.nz_indexed());
+}
+
+// ---- Stale-index safety through the solver ---------------------------------
+//
+// The oracle replays the run's batch log serially on fresh tiles with the
+// whole-tile kernels, re-indexing U from its current values before every
+// SSSSM — so no index can be stale there. One executor lane in atomic mode
+// runs each batch's members in place in batch order, exactly that replay.
+
+struct Injection {
+  index_t task_id;
+  NumericFaultKind kind;
+};
+
+void replay_batches(SolverInstance& fresh, const BatchLog& log,
+                    const std::vector<Injection>& faults) {
+  PluFactorization& plu = *fresh.plu_factorization();
+  TileMatrix& tm = plu.tiles();
+  const TaskGraph& g = fresh.graph();
+  for (const BatchLog::Batch& b : log.batches) {
+    for (std::size_t i = 0; i < b.members.size(); ++i) {
+      ASSERT_EQ(b.status[i], 0) << "replay covers completed members only";
+      const Task& t = g.task(b.members[i]);
+      for (const Injection& f : faults) {
+        if (f.task_id == t.id && !silent_fault_kind(f.kind)) {
+          plu.backend().inject_fault(t, f.kind);
+        }
+      }
+      Tile& target = *tm.tile(t.row, t.col);
+      switch (t.type) {
+        case TaskType::kGetrf:
+          tile_getrf(target);
+          break;
+        case TaskType::kTstrf:
+          tile_tstrf(target, *tm.tile(t.k, t.k));
+          break;
+        case TaskType::kGeesm:
+          tile_geesm(target, *tm.tile(t.k, t.k));
+          break;
+        case TaskType::kSsssm: {
+          Tile& u = *tm.tile(t.k, t.col);
+          u.index_nonzeros();
+          tile_ssssm(target, *tm.tile(t.row, t.k), u, /*atomic=*/false);
+          break;
+        }
+      }
+    }
+    // Silent corruption lands after the whole batch ran (BatchExecutor).
+    for (const std::int64_t id : b.members) {
+      for (const Injection& f : faults) {
+        if (f.task_id == id && silent_fault_kind(f.kind)) {
+          plu.backend().inject_fault(g.task(f.task_id), f.kind);
+        }
+      }
+    }
+  }
+}
+
+void expect_same_factors(const SolverInstance& x, const SolverInstance& y) {
+  const TileMatrix& a = x.plu_factorization()->tiles();
+  const TileMatrix& b = y.plu_factorization()->tiles();
+  ASSERT_EQ(a.nt(), b.nt());
+  for (index_t i = 0; i < a.nt(); ++i) {
+    for (index_t j = 0; j < a.nt(); ++j) {
+      const Tile* p = a.tile(i, j);
+      const Tile* q = b.tile(i, j);
+      ASSERT_EQ(p == nullptr, q == nullptr);
+      if (p == nullptr) continue;
+      ASSERT_EQ(p->storage(), Tile::Storage::kDense) << i << "," << j;
+      ASSERT_EQ(q->storage(), Tile::Storage::kDense) << i << "," << j;
+      EXPECT_EQ(std::memcmp(p->dense_data(), q->dense_data(),
+                            static_cast<std::size_t>(p->rows()) * p->cols() *
+                                sizeof(real_t)),
+                0)
+          << "tile " << i << "," << j;
+    }
+  }
+}
+
+class StaleIndex : public ::testing::Test {
+ protected:
+  StaleIndex() : a_(finalize_system(grid2d_laplacian(20, 20), 77)) {
+    io_.core = SolverCore::kPlu;
+    io_.block = 16;
+    io_.grid = make_process_grid(2);
+  }
+
+  ScheduleOptions options() const {
+    ScheduleOptions so;
+    so.cluster = cluster_h100();
+    so.n_ranks = 2;
+    so.policy = Policy::kTrojanHorse;
+    so.exec.workers = 1;
+    so.exec.accum = exec::AccumMode::kAtomic;
+    so.collect_batches = true;
+    return so;
+  }
+
+  std::vector<index_t> geesm_ids(const SolverInstance& inst) const {
+    std::vector<index_t> ids;
+    for (const Task& t : inst.graph().tasks()) {
+      if (t.type == TaskType::kGeesm) ids.push_back(t.id);
+    }
+    return ids;
+  }
+
+  Csr a_;
+  InstanceOptions io_;
+};
+
+TEST_F(StaleIndex, SpillAndReloadMatchSerialReplay) {
+  SolverInstance run(a_, io_);
+  ScheduleOptions so = options();
+  const mem::FootprintProjection fp = mem::project_footprint(run.graph(), 2);
+  so.mem.budget_bytes = std::max<offset_t>(1 << 14, fp.peak_rank_bytes / 2);
+  so.mem.policy = mem::MemPolicy::kSpill;
+  const ScheduleResult r = run.run_numeric(so);
+  ASSERT_GT(r.stats().mem.tiles_spilled, 0);
+  ASSERT_GT(r.stats().mem.tiles_reloaded, 0);
+  SolverInstance fresh(a_, io_);
+  replay_batches(fresh, r.stats().batches, {});
+  expect_same_factors(run, fresh);
+}
+
+TEST_F(StaleIndex, InjectedFaultsMatchSerialReplay) {
+  // Corrupt factored U tiles after their GEESM indexed them (a silent
+  // kind, no ABFT: the damage stays for the SSSSMs that read them). The
+  // damage is finite so every later pivot stays usable.
+  SolverInstance run(a_, io_);
+  const std::vector<index_t> geesm = geesm_ids(run);
+  ASSERT_GE(geesm.size(), 3u);
+  const std::vector<Injection> faults = {
+      {geesm[0], NumericFaultKind::kScaledEntry},
+      {geesm[geesm.size() / 2], NumericFaultKind::kScaledEntry},
+      {geesm.back(), NumericFaultKind::kScaledEntry}};
+  ScheduleOptions so = options();
+  for (const Injection& f : faults) {
+    so.faults.numeric_faults.push_back({f.task_id, f.kind});
+  }
+  const ScheduleResult r = run.run_numeric(so);
+  ASSERT_EQ(r.stats().faults.numeric_faults_injected, 3);
+  SolverInstance fresh(a_, io_);
+  replay_batches(fresh, r.stats().batches, faults);
+  expect_same_factors(run, fresh);
+}
+
+// The index of a tile must mark exactly its entries that compare != 0.0.
+void expect_index_current(const Tile& u) {
+  ASSERT_TRUE(u.nz_indexed());
+  for (index_t c = 0; c < u.cols(); ++c) {
+    for (index_t r = 0; r < u.rows(); ++r) {
+      EXPECT_EQ((u.nz_col_bits(c)[r / 64] >> (r % 64)) & 1u, u.at(r, c) != 0.0)
+          << r << "," << c;
+    }
+  }
+}
+
+TEST_F(StaleIndex, BackendRewritesKeepTheIndexCurrentAndRunNumericFreesIt) {
+  SolverInstance inst(a_, io_);
+  inst.run_numeric(options());
+  TileMatrix& tm = inst.plu_factorization()->tiles();
+  for (index_t i = 0; i < tm.nt(); ++i) {
+    for (index_t j = 0; j < tm.nt(); ++j) {
+      if (tm.has(i, j)) {
+        EXPECT_FALSE(tm.tile(i, j)->nz_indexed());
+      }
+    }
+  }
+  // Re-run one GEESM through the block API: its slices index the output.
+  NumericBackend& be = inst.plu_factorization()->backend();
+  const Task& t = inst.graph().task(geesm_ids(inst).front());
+  Tile& u = *tm.tile(t.row, t.col);
+  be.prepare_task(t);
+  ASSERT_GE(be.run_blocks(t, 0, t.cost.cuda_blocks, false, nullptr), 0);
+  expect_index_current(u);
+  // Serial rewrites of a factored U tile re-derive its index, so the
+  // SSSSMs still to come read the new values' pattern.
+  ASSERT_TRUE(be.inject_fault(t, NumericFaultKind::kInf));
+  expect_index_current(u);
+  u.drop_nz_index();
+  u.index_nonzeros();
+  u.dense_data()[0] = std::numeric_limits<real_t>::quiet_NaN();
+  u.index_nonzeros();
+  GuardPolicy gp;
+  EXPECT_GT(be.guard_task(t, gp).nonfinite_scrubbed, 0);  // NaN -> 0.0
+  expect_index_current(u);
+  be.restore_block(
+      t, std::vector<real_t>(static_cast<std::size_t>(u.rows()) * u.cols(),
+                             1.0));
+  expect_index_current(u);
+  EXPECT_EQ(u.nz_indexed_count(), static_cast<offset_t>(u.rows()) * u.cols());
+  // An ABFT rollback restores the pre-batch snapshot: the index goes
+  // until the task re-runs.
+  be.abft_capture(t);
+  be.abft_rollback(t);
+  EXPECT_FALSE(u.nz_indexed());
+  be.abft_reset();
+}
+
+TEST_F(StaleIndex, HostSsssmFlopsCountTheIndexedPairs) {
+  // th.host.flops.ssssm: 2 flops per L row for every U nonzero an SSSSM
+  // walked — here each task runs once, against its U tile's final values.
+  obs::Counter& flops = obs::Registry::global().counter("th.host.flops.ssssm");
+  for (const bool obs_on : {false, true}) {
+    const obs::Session session(obs_on);  // on: starts from zeroed values
+    const std::int64_t before = flops.value();
+    SolverInstance inst(a_, io_);
+    inst.run_numeric(options());
+    const TileMatrix& tm = inst.plu_factorization()->tiles();
+    std::int64_t want = 0;
+    for (const Task& t : inst.graph().tasks()) {
+      if (t.type != TaskType::kSsssm) continue;
+      const Tile& u = *tm.tile(t.k, t.col);
+      want += 2 * static_cast<std::int64_t>(tm.tile(t.row, t.col)->rows()) *
+              u.nnz();
+    }
+    ASSERT_GT(want, 0);
+    EXPECT_EQ(flops.value() - before, obs_on ? want : 0);
+  }
+}
+
+TEST_F(StaleIndex, HostSsssmFlopsCountEveryExecution) {
+  // Executed, not planned: a transient fault skips its attempt's numerics
+  // (status 1) and an ABFT rollback re-runs a member that did execute
+  // (status 3), so the count follows the batch log, not the task graph.
+  obs::Counter& flops = obs::Registry::global().counter("th.host.flops.ssssm");
+  const obs::Session session(true);
+  SolverInstance inst(a_, io_);
+  std::vector<index_t> ssssm;
+  for (const Task& t : inst.graph().tasks()) {
+    if (t.type == TaskType::kSsssm) ssssm.push_back(t.id);
+  }
+  ASSERT_GE(ssssm.size(), 2u);
+  ScheduleOptions so = options();
+  so.abft.enabled = true;
+  so.faults.transient_prob[static_cast<std::size_t>(TaskType::kSsssm)] = 0.05;
+  so.faults.max_retries = 20;
+  so.faults.numeric_faults.push_back({ssssm[0], NumericFaultKind::kBitFlip});
+  so.faults.numeric_faults.push_back(
+      {ssssm[ssssm.size() / 2], NumericFaultKind::kBitFlip});
+  const std::int64_t before = flops.value();
+  const ScheduleResult r = inst.run_numeric(so);
+  const TileMatrix& tm = inst.plu_factorization()->tiles();
+  std::int64_t want = 0;
+  int transient = 0;
+  int rolled_back = 0;
+  for (const BatchLog::Batch& b : r.stats().batches.batches) {
+    for (std::size_t i = 0; i < b.members.size(); ++i) {
+      const Task& t = inst.graph().task(b.members[i]);
+      if (t.type != TaskType::kSsssm) continue;
+      ASSERT_NE(b.status[i], 2) << "no rank restarts in this run";
+      if (b.status[i] == 1) {
+        ++transient;
+        continue;
+      }
+      if (b.status[i] == 3) ++rolled_back;
+      want += 2 * static_cast<std::int64_t>(tm.tile(t.row, t.col)->rows()) *
+              tm.tile(t.k, t.col)->nnz();
+    }
+  }
+  ASSERT_GT(transient, 0);
+  ASSERT_GT(rolled_back, 0);
+  EXPECT_EQ(flops.value() - before, want);
+}
+
+TEST_F(StaleIndex, SplitTasksIndexAcrossLanesBitwise) {
+  // Tiles of 64 give 64-block tasks: two 32-block chunks, so two lanes run
+  // slices of one GEESM (each indexing its own columns of the tile) and of
+  // one SSSSM at once. Det factors must match the one-lane run bitwise.
+  io_.block = 64;
+  ScheduleOptions so = options();
+  so.exec.accum = exec::AccumMode::kDeterministic;
+  SolverInstance one(a_, io_);
+  one.run_numeric(so);
+  so.exec.workers = 4;
+  SolverInstance four(a_, io_);
+  const ScheduleResult r = four.run_numeric(so);
+  EXPECT_GT(r.stats().exec.slices, 0);
+  expect_same_factors(one, four);
 }
 
 // ---- SIMD inner loops --------------------------------------------------

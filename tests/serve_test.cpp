@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "serve/chaos.hpp"
 #include "serve/serve.hpp"
 #include "serve/trace.hpp"
+#include "solvers/block_cyclic.hpp"
+#include "solvers/driver.hpp"
 #include "support/cancel.hpp"
 
 namespace th {
@@ -308,6 +311,57 @@ TEST(SolverService, MidRunAbandonCancelsAtBatchBoundaryAndSessionRecovers) {
   EXPECT_TRUE(done[0].ok()) << done[0].detail;
   EXPECT_TRUE(done[1].ok()) << done[1].detail;
   EXPECT_LT(done[1].residual, 1e-9);
+}
+
+TEST(SolverService, RefactorFactorsMatchFreshFactorizationBitwise) {
+  // A cancelled run leaves partially written (and partially indexed)
+  // tiles behind; the refactor with new values that follows must still
+  // produce exactly the factors of a standalone factorization of those
+  // values — no U-tile nonzero index may outlive the values it described.
+  const ServeOptions opt = small_service();
+  SolverService svc(opt);
+  const Csr a0 = grid(14, 1);
+  const SessionId sid = svc.open_session("alice", a0);
+  Request f;
+  f.kind = RequestKind::kFactor;
+  f.abandon_at_s = 1e-7;
+  svc.submit(sid, f);
+  Request r;
+  r.kind = RequestKind::kRefactor;
+  r.value_seed = 9;
+  svc.submit(sid, r);
+  const std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].status, Completion::Status::kCancelled);
+  ASSERT_TRUE(done[1].ok()) << done[1].detail;
+
+  InstanceOptions io;
+  io.core = SolverCore::kPlu;
+  io.grid = make_process_grid(opt.sched.n_ranks);
+  SolverInstance fresh(finalize_system(a0, 9), io);
+  ScheduleOptions so = opt.sched;
+  so.exec.workers = opt.exec_workers;
+  fresh.run_numeric(so);
+
+  const TileMatrix& x = svc.session_instance(sid)->plu_factorization()->tiles();
+  const TileMatrix& y = fresh.plu_factorization()->tiles();
+  ASSERT_EQ(x.nt(), y.nt());
+  for (index_t i = 0; i < x.nt(); ++i) {
+    for (index_t j = 0; j < x.nt(); ++j) {
+      ASSERT_EQ(x.has(i, j), y.has(i, j));
+      if (!x.has(i, j)) continue;
+      const Tile& p = *x.tile(i, j);
+      const Tile& q = *y.tile(i, j);
+      ASSERT_EQ(p.storage(), Tile::Storage::kDense);
+      ASSERT_EQ(q.storage(), Tile::Storage::kDense);
+      EXPECT_FALSE(p.nz_indexed());
+      EXPECT_EQ(std::memcmp(p.dense_data(), q.dense_data(),
+                            static_cast<std::size_t>(p.rows()) * p.cols() *
+                                sizeof(real_t)),
+                0)
+          << "tile " << i << "," << j;
+    }
+  }
 }
 
 // ---- fair-share dispatch --------------------------------------------------
