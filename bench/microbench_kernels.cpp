@@ -9,6 +9,7 @@
 #include "core/container.hpp"
 #include "core/executor.hpp"
 #include "kernels/dense.hpp"
+#include "kernels/simd.hpp"
 #include "kernels/tile.hpp"
 #include "support/rng.hpp"
 
@@ -88,6 +89,59 @@ void BM_IndexedSsssm(benchmark::State& state) {
                           u.nz_indexed_count());
 }
 BENCHMARK(BM_IndexedSsssm)->Arg(0)->Arg(1);
+
+// Indexing one cache-hot 64x64 factor tile (10% nonzero): the runtime-
+// dispatched nonzero_mask (arg 1) against the portable scalar loop (arg
+// 0). Items are tile entries.
+void BM_NonzeroMask(benchmark::State& state) {
+  const index_t n = 64;
+  const bool dispatched = state.range(0) != 0;
+  Rng rng(7);
+  std::vector<real_t> t(static_cast<std::size_t>(n) * n, 0.0);
+  for (real_t& v : t) {
+    if (rng.next_real() < 0.1) v = rng.uniform(-1, 1);
+  }
+  std::vector<std::uint64_t> bits(static_cast<std::size_t>(n));
+  for (auto _ : state) {
+    for (index_t c = 0; c < n; ++c) {
+      const real_t* col = t.data() + static_cast<std::size_t>(c) * n;
+      bits[static_cast<std::size_t>(c)] =
+          dispatched ? simd::nonzero_mask(n, col)
+                     : simd::detail::nonzero_mask_portable(n, col);
+    }
+    benchmark::DoNotOptimize(bits.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_NonzeroMask)->Arg(0)->Arg(1);
+
+// One solve update x_out -= T x_in through the tile's nonzero index, T a
+// 64x64 factor tile 5% nonzero, for arg right-hand sides. Items are the
+// dense tile entries a scan would have visited per right-hand side.
+void BM_SolveUpdate(benchmark::State& state) {
+  const index_t n = 64;
+  const auto nrhs = static_cast<index_t>(state.range(0));
+  Rng rng(8);
+  Tile t(n, n);
+  for (index_t cc = 0; cc < n; ++cc) {
+    for (index_t r = 0; r < n; ++r) {
+      if (rng.next_real() < 0.05) t.insert(r, cc, rng.uniform(-1, 1));
+    }
+  }
+  t.freeze();
+  t.densify();
+  t.index_nonzeros();
+  std::vector<real_t> in(static_cast<std::size_t>(n) * nrhs);
+  for (real_t& v : in) v = rng.uniform(-1, 1);
+  std::vector<real_t> out(in.size(), 1.0);
+  for (auto _ : state) {
+    tile_solve_update(t, SolveUpdate::kSubtract, in.data(), n, out.data(), n,
+                      nrhs);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * n * nrhs);
+}
+BENCHMARK(BM_SolveUpdate)->Arg(1)->Arg(16);
 
 void BM_BlockTaskMapLookup(benchmark::State& state) {
   const auto tasks = static_cast<index_t>(state.range(0));

@@ -1,12 +1,14 @@
 // SIMD inner loops for the dense microkernels (kernels/dense.cpp).
 //
 // The four task-type bodies (GETRF / TSTRF / GEESM / SSSSM) spend nearly
-// all their time in two contiguous column-major loops:
+// all their time in two contiguous column-major loops, and the nonzero
+// index of a factored tile (kernels/tile.hpp) is built by a third:
 //
-//   axpy_minus: y[i] -= x[i] * alpha   (the rank-1 update / Schur inner loop)
-//   scale:      x[i] *= alpha          (the pivot / diagonal scaling loop)
+//   axpy_minus:   y[i] -= x[i] * alpha   (the rank-1 update / Schur inner loop)
+//   scale:        x[i] *= alpha          (the pivot / diagonal scaling loop)
+//   nonzero_mask: bit i = (x[i] != 0.0)  (one index word from a column segment)
 //
-// Both are vectorised on a dual path with runtime dispatch, mirroring the
+// All three are vectorised on a dual path with runtime dispatch, mirroring the
 // CRC32C idiom in support/binio.hpp:
 //
 //   - an AVX2 intrinsic path compiled with a per-function target attribute
@@ -22,8 +24,13 @@
 // an FMA, and the scalar bodies split the product into its own statement so
 // ISO-mode -ffp-contract=on cannot contract it either. All paths therefore
 // produce bitwise-identical results, and the runtime dispatch never changes
-// numerics — only throughput. DESIGN.md §17 carries the dispatch table.
+// numerics — only throughput. nonzero_mask compares with _CMP_NEQ_UQ, the
+// predicate of C's `!=`: NaN sets its bit, +0.0 and -0.0 do not, so both
+// paths produce the same bits for every input. DESIGN.md §17 carries the
+// dispatch table.
 #pragma once
+
+#include <cstdint>
 
 #include "support/types.hpp"
 
@@ -58,6 +65,14 @@ inline void scale_portable(index_t n, real_t* x, real_t alpha) {
   }
 }
 
+inline std::uint64_t nonzero_mask_portable(index_t n, const real_t* x) {
+  std::uint64_t m = 0;
+  for (index_t i = 0; i < n; ++i) {
+    m |= static_cast<std::uint64_t>(x[i] != 0.0) << i;
+  }
+  return m;
+}
+
 #if defined(TH_KERNELS_SIMD_AVX2)
 __attribute__((target("avx2"))) inline void axpy_minus_avx2(index_t n,
                                                             const real_t* x,
@@ -88,6 +103,22 @@ __attribute__((target("avx2"))) inline void scale_avx2(index_t n, real_t* x,
   for (; i < n; ++i) {
     x[i] = x[i] * alpha;
   }
+}
+
+__attribute__((target("avx2"))) inline std::uint64_t nonzero_mask_avx2(
+    index_t n, const real_t* x) {
+  const __m256d zero = _mm256_setzero_pd();
+  std::uint64_t m = 0;
+  index_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d ne =
+        _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_NEQ_UQ);
+    m |= static_cast<std::uint64_t>(_mm256_movemask_pd(ne)) << i;
+  }
+  for (; i < n; ++i) {
+    m |= static_cast<std::uint64_t>(x[i] != 0.0) << i;
+  }
+  return m;
 }
 #endif  // TH_KERNELS_SIMD_AVX2
 
@@ -135,6 +166,15 @@ inline void scale(index_t n, real_t* x, real_t alpha) {
   }
 #endif
   detail::scale_portable(n, x, alpha);
+}
+
+/// Bit i set iff x[i] != 0.0, for i in [0, n), n <= 64: NaN and Inf set
+/// their bit, +0.0 and -0.0 do not.
+inline std::uint64_t nonzero_mask(index_t n, const real_t* x) {
+#if defined(TH_KERNELS_SIMD_AVX2)
+  if (avx2_active()) return detail::nonzero_mask_avx2(n, x);
+#endif
+  return detail::nonzero_mask_portable(n, x);
 }
 
 }  // namespace th::simd

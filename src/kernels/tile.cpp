@@ -1,6 +1,7 @@
 #include "kernels/tile.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "kernels/dense.hpp"
@@ -18,6 +19,7 @@ offset_t Tile::nnz() const {
   if (storage_ == Storage::kSparse) {
     return static_cast<offset_t>(row_idx_.size());
   }
+  if (nz_indexed()) return nz_indexed_count();
   offset_t c = 0;
   for (real_t v : dense_) c += (v != 0.0);
   return c;
@@ -118,12 +120,30 @@ void Tile::index_nonzero_cols(index_t c0, index_t c1) {
     std::uint64_t* bits = nz_bits_.data() + static_cast<std::size_t>(c) * wpc;
     for (index_t w = 0; w < wpc; ++w) {
       const index_t r0 = w * 64;
-      const index_t r1 = std::min<index_t>(rows_, r0 + 64);
-      std::uint64_t word = 0;
-      for (index_t r = r0; r < r1; ++r) {
-        word |= static_cast<std::uint64_t>(col[r] != 0.0) << (r - r0);
+      bits[w] =
+          simd::nonzero_mask(std::min<index_t>(rows_ - r0, 64), col + r0);
+    }
+  }
+}
+
+void Tile::index_nonzero_rows(index_t r0, index_t r1) {
+  TH_CHECK(nz_indexed() && r0 >= 0 && r0 <= r1 && r1 <= rows_);
+  const index_t wpc = nz_words_per_col();
+  for (index_t c = 0; c < cols_; ++c) {
+    const real_t* col = dense_.data() + static_cast<offset_t>(c) * rows_;
+    std::uint64_t* bits = nz_bits_.data() + static_cast<std::size_t>(c) * wpc;
+    // Slices of one task own disjoint rows but may share a word, so each
+    // ORs its part in atomically.
+    for (index_t r = r0; r < r1;) {
+      const index_t w = r / 64;
+      const index_t end = std::min<index_t>(r1, (w + 1) * 64);
+      const std::uint64_t m = simd::nonzero_mask(end - r, col + r)
+                              << (r - w * 64);
+      if (m != 0) {
+        std::atomic_ref<std::uint64_t>(bits[w]).fetch_or(
+            m, std::memory_order_relaxed);
       }
-      bits[w] = word;
+      r = end;
     }
   }
 }
@@ -213,6 +233,22 @@ offset_t TileMatrix::total_nnz() const {
   return total;
 }
 
+index_t TileMatrix::index_factors() {
+  index_t built = 0;
+  for (index_t i = 0; i < nt(); ++i) {
+    for (index_t j = 0; j < nt(); ++j) {
+      Tile* t = tile(i, j);
+      if (i == j || t == nullptr || t->nz_indexed()) continue;
+      TH_CHECK_MSG(t->storage() == Tile::Storage::kDense,
+                   "index_factors: tile " << i << "," << j
+                                          << " holds no factor (sparse)");
+      t->index_nonzeros();
+      ++built;
+    }
+  }
+  return built;
+}
+
 void TileMatrix::drop_nz_indexes() {
   for (auto& t : tiles_) {
     if (t) t->drop_nz_index();
@@ -229,12 +265,9 @@ void tile_getrf(Tile& diag) {
 }
 
 void tile_tstrf(Tile& target, const Tile& diag_factored) {
-  TH_CHECK(diag_factored.storage() == Tile::Storage::kDense);
-  TH_CHECK(target.cols() == diag_factored.rows());
   target.densify();
-  target.drop_nz_index();
-  trsm_upper_right(target.rows(), target.cols(), diag_factored.dense_data(),
-                   diag_factored.ld(), target.dense_data(), target.ld());
+  target.begin_nz_index();
+  tile_tstrf_rows(target, diag_factored, 0, target.rows());
 }
 
 void tile_geesm(Tile& target, const Tile& diag_factored) {
@@ -338,8 +371,9 @@ void tile_ssssm(Tile& c, const Tile& l, const Tile& u, bool atomic) {
 void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
                      index_t r1) {
   TH_CHECK(diag_factored.storage() == Tile::Storage::kDense);
-  TH_CHECK_MSG(target.storage() == Tile::Storage::kDense,
-               "sliced TSTRF needs a prepared (dense) target");
+  TH_CHECK_MSG(target.storage() == Tile::Storage::kDense &&
+                   target.nz_indexed(),
+               "sliced TSTRF needs a prepared (dense, index begun) target");
   TH_CHECK(target.cols() == diag_factored.rows());
   TH_CHECK(r0 >= 0 && r0 <= r1 && r1 <= target.rows());
   if (r0 == r1) return;
@@ -349,6 +383,7 @@ void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
   trsm_upper_right(r1 - r0, target.cols(), diag_factored.dense_data(),
                    diag_factored.ld(), target.dense_data() + r0,
                    target.ld());
+  target.index_nonzero_rows(r0, r1);
 }
 
 void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
@@ -366,6 +401,86 @@ void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
       target.dense_data() + static_cast<offset_t>(c0) * target.ld(),
       target.ld());
   target.index_nonzero_cols(c0, c1);
+}
+
+namespace {
+
+// out(:, r) op= T * in(:, r) over T's indexed entries. The loops run
+// column c, index word, right-hand side, set bit: each out(i, r) still
+// sees its updates in increasing c, the dense scan's order.
+template <SolveUpdate kOp>
+void solve_update_cols(const Tile& t, const real_t* in, index_t ld_in,
+                       real_t* out, index_t ld_out, index_t nrhs) {
+  const index_t wpc = t.nz_words_per_col();
+  for (index_t c = 0; c < t.cols(); ++c) {
+    const real_t* tc = t.dense_data() + static_cast<offset_t>(c) * t.ld();
+    const std::uint64_t* bits = t.nz_col_bits(c);
+    for (index_t w = 0; w < wpc; ++w) {
+      if (bits[w] == 0) continue;
+      const real_t* tw = tc + w * 64;
+      for (index_t r = 0; r < nrhs; ++r) {
+        const real_t v = in[c + static_cast<offset_t>(r) * ld_in];
+        if (v == 0.0) continue;
+        real_t* o = out + static_cast<offset_t>(r) * ld_out + w * 64;
+        for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+          const int i = std::countr_zero(word);
+          if constexpr (kOp == SolveUpdate::kSubtract) {
+            o[i] -= tw[i] * v;
+          } else if constexpr (kOp == SolveUpdate::kAtomicSubtract) {
+            atomic_add(o[i], -tw[i] * v);
+          } else {
+            o[i] += tw[i] * v;
+          }
+        }
+      }
+    }
+  }
+}
+
+// out(c, r) -= sum_i T(i, c) * in(i, r), each sum over T's indexed
+// entries in increasing i.
+void solve_update_transposed(const Tile& t, const real_t* in, index_t ld_in,
+                             real_t* out, index_t ld_out, index_t nrhs) {
+  const index_t wpc = t.nz_words_per_col();
+  for (index_t r = 0; r < nrhs; ++r) {
+    const real_t* x = in + static_cast<offset_t>(r) * ld_in;
+    real_t* o = out + static_cast<offset_t>(r) * ld_out;
+    for (index_t c = 0; c < t.cols(); ++c) {
+      const real_t* tc = t.dense_data() + static_cast<offset_t>(c) * t.ld();
+      const std::uint64_t* bits = t.nz_col_bits(c);
+      real_t acc = 0;
+      for (index_t w = 0; w < wpc; ++w) {
+        for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+          const index_t i = w * 64 + std::countr_zero(word);
+          acc += tc[i] * x[i];
+        }
+      }
+      o[c] -= acc;
+    }
+  }
+}
+
+}  // namespace
+
+void tile_solve_update(const Tile& t, SolveUpdate op, const real_t* in,
+                       index_t ld_in, real_t* out, index_t ld_out,
+                       index_t nrhs) {
+  TH_CHECK_MSG(t.storage() == Tile::Storage::kDense && t.nz_indexed(),
+               "solve update requires a factored (dense, indexed) tile");
+  TH_CHECK(nrhs >= 0);
+  switch (op) {
+    case SolveUpdate::kSubtract:
+      return solve_update_cols<SolveUpdate::kSubtract>(t, in, ld_in, out,
+                                                       ld_out, nrhs);
+    case SolveUpdate::kAtomicSubtract:
+      return solve_update_cols<SolveUpdate::kAtomicSubtract>(
+          t, in, ld_in, out, ld_out, nrhs);
+    case SolveUpdate::kAccumulate:
+      return solve_update_cols<SolveUpdate::kAccumulate>(t, in, ld_in, out,
+                                                         ld_out, nrhs);
+    case SolveUpdate::kSubtractTransposed:
+      return solve_update_transposed(t, in, ld_in, out, ld_out, nrhs);
+  }
 }
 
 }  // namespace th

@@ -6,14 +6,17 @@
 // *cost model* uses symbolic sparsity, so scheduling behaviour is
 // unaffected).
 //
-// A factored U tile is mostly zeros even though it is stored dense, so it
-// carries a nonzero index: one bit per entry, set where the entry is
-// != 0.0, which SSSSM walks instead of scanning the dense operand. The
-// GEESM that writes the tile builds the index (each slice indexes its own
-// columns); a later write drops or re-derives it (DESIGN.md §4 lists the
-// lifecycle). Per column, SSSSM visits the rows whose entry compares
-// != 0.0 in increasing order — the operation sequence of a dense scan that
-// skips zeros — so its results are bitwise those of that scan.
+// A factored off-diagonal tile is mostly zeros even though it is stored
+// dense, so it carries a nonzero index: one bit per entry, set where the
+// entry is != 0.0. The task that writes the tile last builds it — GEESM's
+// column slices for a U tile, TSTRF's row slices for an L tile — and it
+// stays with the factors after the numeric phase (DESIGN.md §4 lists the
+// lifecycle). SSSSM walks U's index instead of scanning the dense operand,
+// and every triangular solve over the factors (tile_solve_update) walks
+// the L and U indexes. Per column, the kernels visit the rows whose entry
+// compares != 0.0 in increasing order — the operation sequence of a dense
+// scan that skips zeros — so SSSSM is bitwise that scan, and the solves
+// are bitwise the dense scan for finite inputs without -0.0 (§4).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +39,8 @@ class Tile {
   index_t cols() const { return cols_; }
   Storage storage() const { return storage_; }
 
-  /// Structural nonzero count (exact for sparse, counted for dense).
+  /// Structural nonzero count: exact for sparse, the index's popcount for
+  /// an indexed dense tile, counted entry by entry otherwise.
   offset_t nnz() const;
   real_t density() const {
     return static_cast<real_t>(nnz()) /
@@ -70,7 +74,8 @@ class Tile {
   // Bit r of column c's words is set iff entry (r, c) != 0.0: NaN and Inf
   // are indexed, +0.0 and -0.0 are not. Columns are padded to whole 64-bit
   // words, so distinct columns never share a word and disjoint column
-  // ranges can be indexed concurrently. Only code that owns the tile
+  // ranges can be indexed concurrently; disjoint row ranges share words
+  // and merge theirs with an atomic OR. Only code that owns the tile
   // exclusively creates or frees the index — begin_nz_index(),
   // index_nonzeros(), drop_nz_index(), and release_dense()/adopt_dense(),
   // which drop it — never concurrent slices. Sparse tiles have none.
@@ -79,12 +84,17 @@ class Tile {
   /// dense_data() must drop or rebuild it.
   bool nz_indexed() const { return !nz_bits_.empty(); }
   /// Exclusive: allocate an all-clear index and mark it present. The
-  /// caller then fills every column with index_nonzero_cols() before any
-  /// reader runs — the GEESM slices that write a U tile do exactly that.
+  /// caller then fills every column with index_nonzero_cols() (or every
+  /// row with index_nonzero_rows()) before any reader runs — the GEESM and
+  /// TSTRF slices that write a factor tile do exactly that.
   void begin_nz_index();
   /// Index columns [c0, c1) from the dense buffer. Safe to call
   /// concurrently for disjoint column ranges after begin_nz_index().
   void index_nonzero_cols(index_t c0, index_t c1);
+  /// OR the bits of rows [r0, r1) into every column's words (relaxed
+  /// atomic OR, one per word the rows touch). Safe to call concurrently
+  /// for disjoint row ranges after begin_nz_index().
+  void index_nonzero_rows(index_t r0, index_t r1);
   /// Exclusive: begin_nz_index() plus every column.
   void index_nonzeros();
   /// Exclusive: forget and free the index.
@@ -139,11 +149,18 @@ class TileMatrix {
   const Tile* tile(index_t i, index_t j) const;
 
   /// Exact nnz over all tiles (post-factorisation this is nnz(L+U) with the
-  /// diagonal counted once).
+  /// diagonal counted once). Indexed tiles count their index bits.
   offset_t total_nnz() const;
 
-  /// Free every tile's nonzero index (end of the numeric phase: the
-  /// solves read the dense buffers only). Serial.
+  /// Index every off-diagonal tile that carries no index (all must be
+  /// dense): the factors' state the solves require. Returns how many tiles
+  /// it indexed — none after a numeric run, whose GEESM/TSTRF slices index
+  /// their outputs; every one after tiles were adopted from storage.
+  /// Serial.
+  index_t index_factors();
+
+  /// Free every tile's nonzero index (a numeric run that threw leaves
+  /// partial factors, whose indexes must not outlive them). Serial.
   void drop_nz_indexes();
 
  private:
@@ -154,12 +171,12 @@ class TileMatrix {
 // ---- Tile-level numeric kernels (the four task bodies) -----------------
 
 // The whole-tile forms densify their target and drop its nonzero index
-// (GEESM rebuilds it: its output is an SSSSM U operand).
+// (TSTRF and GEESM rebuild it: their outputs are the L and U factors).
 
 /// GETRF: in-place LU of a diagonal tile.
 void tile_getrf(Tile& diag);
 
-/// TSTRF: L(i,k) = A(i,k) * U(k,k)^{-1}.
+/// TSTRF: L(i,k) = A(i,k) * U(k,k)^{-1}; leaves the target indexed.
 void tile_tstrf(Tile& target, const Tile& diag_factored);
 
 /// GEESM: U(k,j) = L(k,k)^{-1} * A(k,j); leaves the target indexed.
@@ -180,8 +197,10 @@ void tile_ssssm(Tile& c, const Tile& l, const Tile& u, bool atomic);
 // corresponding part of the whole-tile kernel — concurrent slices of one
 // task need no synchronisation beyond a densified target.
 
-/// TSTRF restricted to target rows [r0, r1). Target must already be dense
-/// (the PLU backend stages every tile dense before the first batch).
+/// TSTRF restricted to target rows [r0, r1), then ORs those rows into the
+/// target's nonzero index. Target must be dense, with begin_nz_index()
+/// called (the PLU backend's staging and prepare_task, before any slice
+/// runs).
 void tile_tstrf_rows(Tile& target, const Tile& diag_factored, index_t r0,
                      index_t r1);
 
@@ -200,5 +219,27 @@ void tile_geesm_cols(Tile& target, const Tile& diag_factored, index_t c0,
 /// executed: 2 per L(:, p) entry updated, for every indexed U(p, j).
 offset_t tile_ssssm_cols(real_t* c_data, index_t ldc, const Tile& l,
                          const Tile& u, bool atomic, index_t c0, index_t c1);
+
+// ---- Triangular-solve update -------------------------------------------
+
+/// How tile_solve_update applies a factor tile T to its output.
+enum class SolveUpdate : char {
+  kSubtract,            // out(i) -= T(i, c) * in(c), plain writes
+  kAtomicSubtract,      // the same through atomic_add: lanes may race
+  kAccumulate,          // out(i) += T(i, c) * in(c): det-mode scratch
+  kSubtractTransposed,  // out(c) -= sum_i T(i, c) * in(i), one sum per c
+};
+
+/// The off-diagonal block step of every triangular solve over the PLU
+/// factors, for `nrhs` column-major vectors (leading dimensions ld_in and
+/// ld_out; in and out must not overlap). T must be dense and indexed;
+/// only its indexed entries are visited. The non-transposed forms skip
+/// in(c) == 0.0 and update each out(i) in increasing c; the transposed
+/// form sums in increasing i. Relative to the dense scan this omits only
+/// `x -/+ (+-0.0)` steps, which change nothing when every in and out value
+/// is finite and no out value is -0.0 (DESIGN.md §4).
+void tile_solve_update(const Tile& t, SolveUpdate op, const real_t* in,
+                       index_t ld_in, real_t* out, index_t ld_out,
+                       index_t nrhs);
 
 }  // namespace th

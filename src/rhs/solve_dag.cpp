@@ -71,14 +71,15 @@ BlockSolveResult BlockSolver::solve(real_t* x, index_t nrhs,
   TH_CHECK_MSG(x != nullptr, "block solve needs caller storage");
   const SolveDag::Graphs& g = dag_.graphs(nrhs);
   const ScheduleOptions run = run_options(schedule);
+  const int lanes = exec_lanes(run.exec);
   BlockSolveResult out;
   {
-    TriSolveBackend backend(fact_, x, nrhs, /*forward=*/true,
+    TriSolveBackend backend(fact_, x, nrhs, /*forward=*/true, lanes,
                             det ? &dag_.forward_fold() : nullptr);
     out.forward = simulate(g.forward, run, &backend);
   }
   {
-    TriSolveBackend backend(fact_, x, nrhs, /*forward=*/false,
+    TriSolveBackend backend(fact_, x, nrhs, /*forward=*/false, lanes,
                             det ? &dag_.backward_fold() : nullptr);
     out.backward = simulate(g.backward, run, &backend);
   }

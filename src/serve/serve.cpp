@@ -561,8 +561,12 @@ void SolverService::run_factor(Session& s, Pending& p, real_t start_s) {
       // The batching engine references the instance's factorization; fold
       // its accounting into the service total before the storage goes away.
       retire_engine(s);
-      s.inst = std::make_shared<SolverInstance>(
+      auto rebuilt = std::make_shared<SolverInstance>(
           a, instance_options(opt_.sched), *s.inst);
+      // The pattern cache may keep the replaced instance as its donor,
+      // which needs only its structure: free its tiles either way.
+      s.inst->release_factors();
+      s.inst = std::move(rebuilt);
       s.needs_rebuild = false;
       s.factored = false;
     }
@@ -834,6 +838,11 @@ const SolverInstance* SolverService::session_instance(SessionId sid) const {
   return it == sessions_.end() ? nullptr : it->second.inst.get();
 }
 
+const SolverInstance* SolverService::cached_donor(std::uint64_t hash) const {
+  const auto it = cache_.find(hash);
+  return it == cache_.end() ? nullptr : it->second.donor.get();
+}
+
 // ---- Durability ----------------------------------------------------------
 
 void SolverService::maybe_crash(const char* event) {
@@ -962,6 +971,9 @@ bool SolverService::retire_session(SessionId sid) {
                                     "serve session retire", "serve", now_s_,
                                     "session", sid);
   }
+  // As on a rebuild: a cached donor outlives the session by its
+  // structure only.
+  s.inst->release_factors();
   sessions_.erase(sit);
   return true;
 }

@@ -314,6 +314,10 @@ class SolverService {
   /// The session's current solver instance (null for unknown ids) — lets
   /// benches compare served factors bitwise against standalone runs.
   const SolverInstance* session_instance(SessionId sid) const;
+  /// The pattern cache's symbolic donor for a pattern_hash() (null when
+  /// not cached). Once the session that built it rebuilds or retires, the
+  /// donor keeps only its structure (SolverInstance::release_factors).
+  const SolverInstance* cached_donor(std::uint64_t hash) const;
 
   /// The one worker pool every dispatched batch executes on.
   exec::WorkerPool& pool() { return pool_; }

@@ -107,16 +107,19 @@ ScheduleResult SolverInstance::run_numeric(const ScheduleOptions& opt) {
   TH_CHECK_MSG(!numeric_done_,
                "run_numeric() may be called once per SolverInstance");
   NumericBackend* backend = plu_ ? &plu_->backend() : &slu_->backend();
-  // The U tiles' nonzero indexes serve the SSSSM updates only: free them
-  // when the numeric phase ends, however it ends, so cached factors carry
-  // just their dense tiles.
-  struct DropIndexes {
-    PluFactorization* plu;
-    ~DropIndexes() {
-      if (plu != nullptr) plu->tiles().drop_nz_indexes();
-    }
-  } drop{plu_.get()};
-  ScheduleResult r = simulate(graph(), opt, backend);
+  // The factor tiles' nonzero indexes stay with the factors: every solve
+  // walks them. A run that throws leaves partial factors, so free them
+  // then.
+  ScheduleResult r;
+  try {
+    r = simulate(graph(), opt, backend);
+  } catch (...) {
+    if (plu_) plu_->tiles().drop_nz_indexes();
+    throw;
+  }
+  // The GEESM/TSTRF slices indexed every factor tile; this finds nothing
+  // to do unless a path left one unindexed.
+  if (plu_) plu_->tiles().index_factors();
   numeric_done_ = true;
   if (plu_ && obs::enabled()) {
     // Host-executed SSSSM flops next to the model's (kernels' flops_model
@@ -140,7 +143,16 @@ void SolverInstance::restore_numeric_done() {
   TH_CHECK_MSG(plu_ != nullptr,
                "restore_numeric_done() needs the PLU core (factor "
                "artifacts are tile-granular)");
+  // Adopted tiles arrive without their nonzero indexes; the solves need
+  // them.
+  plu_->tiles().index_factors();
   numeric_done_ = true;
+}
+
+void SolverInstance::release_factors() {
+  TH_CHECK_MSG(plu_ != nullptr, "release_factors() needs the PLU core");
+  plu_->release_numeric();
+  numeric_done_ = true;  // no numerics may run on the released tiles
 }
 
 std::vector<real_t> SolverInstance::solve(const std::vector<real_t>& b) const {

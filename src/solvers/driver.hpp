@@ -84,6 +84,13 @@ class SolverInstance {
   /// Requires run_numeric() to have completed.
   std::vector<real_t> solve(const std::vector<real_t>& b) const;
 
+  /// Free the factor tiles of a PLU instance that lives on only as a
+  /// symbolic donor (the serve layer's pattern cache keeps the instance a
+  /// session replaced): the permutation, tile pattern and task DAG donor
+  /// construction reads stay; solve() and the tile accessors throw
+  /// afterwards, and run_numeric() stays refused.
+  void release_factors();
+
   /// Access the PLU factorisation (null when the SLU core was selected);
   /// used by the SpTRSV extension (solvers/trisolve.hpp).
   PluFactorization* plu_factorization() { return plu_.get(); }

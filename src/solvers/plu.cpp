@@ -60,13 +60,13 @@ class PluFactorization::Backend : public NumericBackend {
   void prepare_task(const Task& t) override {
     // Staging left every tile dense, so concurrent slices write disjoint
     // rows/columns of a stable buffer (the sliced kernels refuse a sparse
-    // target). What is left is the nonzero index of a GEESM output — an
-    // SSSSM U operand — whose columns its slices fill. No other target
-    // carries an index when its task runs (a U tile is indexed by its
-    // GEESM, its last write), which the slices check, so the serial
-    // prologue touches no other member's tile.
-    if (t.type == TaskType::kGeesm) {
-      tiles_.tile(t.row, t.col)->begin_nz_index();
+    // target). What is left is the nonzero index of a TSTRF or GEESM
+    // output — an L or U factor tile — which its slices fill. Neither
+    // target, nor an SSSSM's, carries an index before its task runs (a
+    // factor tile is indexed by its last write), which this and the SSSSM
+    // slices check, so the serial prologue touches no other member's tile.
+    if (t.type == TaskType::kTstrf || t.type == TaskType::kGeesm) {
+      unindexed_target(t).begin_nz_index();
     }
   }
 
@@ -79,7 +79,8 @@ class PluFactorization::Backend : public NumericBackend {
         return -1;  // within-tile elimination is sequential
       case TaskType::kTstrf:
         // cuda_blocks = target rows (one block per row).
-        tile_tstrf_rows(unindexed_target(t), *tiles_.tile(t.k, t.k), b0, b1);
+        tile_tstrf_rows(*tiles_.tile(t.row, t.col), *tiles_.tile(t.k, t.k),
+                        b0, b1);
         return 0;
       case TaskType::kGeesm:
         // cuda_blocks = target columns.
@@ -276,8 +277,9 @@ class PluFactorization::Backend : public NumericBackend {
  private:
   // Serial writers that replace a tile's values in place keep its nonzero
   // index present if it was: a factored U tile stays readable by the
-  // SSSSMs still to come (tile_ssssm_cols refuses an unindexed U), and
-  // the rebuilt index describes the new values.
+  // SSSSMs still to come (tile_ssssm_cols refuses an unindexed U), a
+  // factored L or U tile by the solves, and the rebuilt index describes
+  // the new values.
   class ReindexOnExit {
    public:
     explicit ReindexOnExit(Tile& t) : t_(t), was_(t.nz_indexed()) {}
@@ -290,8 +292,9 @@ class PluFactorization::Backend : public NumericBackend {
     bool was_;
   };
 
-  // The target of a TSTRF or SSSSM write: never an indexed U tile, or
-  // the index would go stale under the write — loud, not stale.
+  // The target of a factor task that has not run yet: never an indexed
+  // factor tile, or the index would go stale under the write — loud, not
+  // stale.
   Tile& unindexed_target(const Task& t) {
     Tile& c = *tiles_.tile(t.row, t.col);
     TH_CHECK_MSG(!c.nz_indexed(), "task " << t.id << " writes an indexed tile");
@@ -307,7 +310,21 @@ class PluFactorization::Backend : public NumericBackend {
 
 PluFactorization::~PluFactorization() = default;
 
-NumericBackend& PluFactorization::backend() { return *backend_; }
+NumericBackend& PluFactorization::backend() {
+  checked_tiles();
+  return *backend_;
+}
+
+TileMatrix* PluFactorization::checked_tiles() const {
+  TH_CHECK_MSG(tiles_ != nullptr,
+               "factor tiles were released (retired symbolic donor)");
+  return tiles_.get();
+}
+
+void PluFactorization::release_numeric() {
+  backend_.reset();  // references the tiles
+  tiles_.reset();
+}
 
 PluFactorization::PluFactorization(const Csr& a, const PluOptions& opts)
     : opts_(opts),
@@ -478,75 +495,57 @@ std::vector<real_t> PluFactorization::solve(
   const index_t nt = pattern_.nt;
   const index_t bs = pattern_.tile_size;
   std::vector<real_t> x = b;
+  const TileMatrix& tiles = *checked_tiles();
 
-  auto tile_dense = [&](index_t i, index_t j) -> const Tile* {
-    const Tile* t = tiles_->tile(i, j);
-    if (t != nullptr) {
-      TH_CHECK_MSG(t->storage() == Tile::Storage::kDense,
-                   "solve() before numeric factorisation completed");
-    }
-    return t;
+  auto diag_dense = [&](index_t j) -> const Tile& {
+    const Tile* t = tiles.tile(j, j);
+    TH_CHECK_MSG(t != nullptr && t->storage() == Tile::Storage::kDense,
+                 "solve() before numeric factorisation completed");
+    return *t;
+  };
+  // Off-diagonal block step x_i -= T(i, j) * x_j over T's nonzero index.
+  auto update = [&](index_t i, index_t j) {
+    const Tile* t = tiles.tile(i, j);
+    if (t == nullptr) return;
+    tile_solve_update(*t, SolveUpdate::kSubtract,
+                      x.data() + static_cast<offset_t>(j) * bs, n,
+                      x.data() + static_cast<offset_t>(i) * bs, n, 1);
   };
 
   // Forward solve L y = b (unit diagonal; L strictly below the diagonal of
   // diagonal tiles plus all tiles with i > j).
   for (index_t J = 0; J < nt; ++J) {
-    const Tile* diag = tile_dense(J, J);
-    TH_ASSERT(diag != nullptr);
-    const index_t w = diag->cols();
+    const Tile& diag = diag_dense(J);
+    const index_t w = diag.cols();
     real_t* xj = x.data() + static_cast<offset_t>(J) * bs;
     // Within-tile forward substitution.
-    const real_t* d = diag->dense_data();
+    const real_t* d = diag.dense_data();
     for (index_t c = 0; c < w; ++c) {
       const real_t xc = xj[c];
       if (xc == 0.0) continue;
       for (index_t r = c + 1; r < w; ++r) {
-        xj[r] -= d[r + c * static_cast<offset_t>(diag->ld())] * xc;
+        xj[r] -= d[r + c * static_cast<offset_t>(diag.ld())] * xc;
       }
     }
     // Panel updates below.
-    for (index_t I = J + 1; I < nt; ++I) {
-      const Tile* lt = tiles_->tile(I, J);
-      if (lt == nullptr) continue;
-      const real_t* ld = tile_dense(I, J)->dense_data();
-      real_t* xi = x.data() + static_cast<offset_t>(I) * bs;
-      for (index_t c = 0; c < lt->cols(); ++c) {
-        const real_t xc = xj[c];
-        if (xc == 0.0) continue;
-        for (index_t r = 0; r < lt->rows(); ++r) {
-          xi[r] -= ld[r + c * static_cast<offset_t>(lt->ld())] * xc;
-        }
-      }
-    }
+    for (index_t I = J + 1; I < nt; ++I) update(I, J);
   }
 
   // Backward solve U x = y (non-unit diagonal).
   for (index_t J = nt - 1; J >= 0; --J) {
-    const Tile* diag = tile_dense(J, J);
-    const index_t w = diag->cols();
+    const Tile& diag = diag_dense(J);
+    const index_t w = diag.cols();
     real_t* xj = x.data() + static_cast<offset_t>(J) * bs;
     // Updates from tiles right of the diagonal.
-    for (index_t K = J + 1; K < nt; ++K) {
-      const Tile* ut = tiles_->tile(J, K);
-      if (ut == nullptr) continue;
-      const real_t* ud = tile_dense(J, K)->dense_data();
-      const real_t* xk = x.data() + static_cast<offset_t>(K) * bs;
-      for (index_t c = 0; c < ut->cols(); ++c) {
-        const real_t xc = xk[c];
-        if (xc == 0.0) continue;
-        for (index_t r = 0; r < ut->rows(); ++r) {
-          xj[r] -= ud[r + c * static_cast<offset_t>(ut->ld())] * xc;
-        }
-      }
-    }
+    for (index_t K = J + 1; K < nt; ++K) update(J, K);
     // Within-tile backward substitution.
-    const real_t* d = diag->dense_data();
+    const real_t* d = diag.dense_data();
     for (index_t c = w - 1; c >= 0; --c) {
       real_t acc = xj[c];
       for (index_t r = c + 1; r < w; ++r) {
-        acc -= d[c + r * static_cast<offset_t>(diag->ld())] * xj[r];
+        acc -= d[c + r * static_cast<offset_t>(diag.ld())] * xj[r];
       }
-      xj[c] = acc / d[c + c * static_cast<offset_t>(diag->ld())];
+      xj[c] = acc / d[c + c * static_cast<offset_t>(diag.ld())];
     }
   }
   return x;
@@ -559,47 +558,42 @@ std::vector<real_t> PluFactorization::solve_transpose(
   const index_t nt = pattern_.nt;
   const index_t bs = pattern_.tile_size;
   std::vector<real_t> x = c;
+  const TileMatrix& tiles = *checked_tiles();
 
-  auto tile_dense = [&](index_t i, index_t j) -> const Tile* {
-    const Tile* t = tiles_->tile(i, j);
-    if (t != nullptr) {
-      TH_CHECK_MSG(t->storage() == Tile::Storage::kDense,
-                   "solve_transpose() before numeric factorisation");
-    }
-    return t;
+  auto diag_dense = [&](index_t j) -> const Tile& {
+    const Tile* t = tiles.tile(j, j);
+    TH_CHECK_MSG(t != nullptr && t->storage() == Tile::Storage::kDense,
+                 "solve_transpose() before numeric factorisation");
+    return *t;
+  };
+  // Off-diagonal block step x_j -= T(i, j)^T * x_i over T's nonzero
+  // index.
+  auto update = [&](index_t i, index_t j) {
+    const Tile* t = tiles.tile(i, j);
+    if (t == nullptr) return;
+    tile_solve_update(*t, SolveUpdate::kSubtractTransposed,
+                      x.data() + static_cast<offset_t>(i) * bs, n,
+                      x.data() + static_cast<offset_t>(j) * bs, n, 1);
   };
 
   // Forward: U^T y = c. U^T is lower triangular (non-unit); iterate block
   // rows ascending, using U tiles (J, K) with K > J transposed.
   for (index_t J = 0; J < nt; ++J) {
-    const Tile* diag = tile_dense(J, J);
-    TH_ASSERT(diag != nullptr);
-    const index_t w = diag->cols();
+    const Tile& diag = diag_dense(J);
+    const index_t w = diag.cols();
     real_t* xj = x.data() + static_cast<offset_t>(J) * bs;
-    const real_t* d = diag->dense_data();
+    const real_t* d = diag.dense_data();
     // Within-tile: solve U(J,J)^T y_J = rhs (lower, non-unit).
     for (index_t r = 0; r < w; ++r) {
       real_t acc = xj[r];
       for (index_t k = 0; k < r; ++k) {
         // (U^T)(r,k) = U(k,r)
-        acc -= d[k + static_cast<offset_t>(r) * diag->ld()] * xj[k];
+        acc -= d[k + static_cast<offset_t>(r) * diag.ld()] * xj[k];
       }
-      xj[r] = acc / d[r + static_cast<offset_t>(r) * diag->ld()];
+      xj[r] = acc / d[r + static_cast<offset_t>(r) * diag.ld()];
     }
     // Propagate to later block rows: x_K -= U(J,K)^T y_J for K > J.
-    for (index_t K = J + 1; K < nt; ++K) {
-      const Tile* ut = tiles_->tile(J, K);
-      if (ut == nullptr) continue;
-      const real_t* ud = tile_dense(J, K)->dense_data();
-      real_t* xk = x.data() + static_cast<offset_t>(K) * bs;
-      for (index_t cidx = 0; cidx < ut->cols(); ++cidx) {
-        real_t acc = 0;
-        for (index_t r = 0; r < ut->rows(); ++r) {
-          acc += ud[r + static_cast<offset_t>(cidx) * ut->ld()] * xj[r];
-        }
-        xk[cidx] -= acc;
-      }
-    }
+    for (index_t K = J + 1; K < nt; ++K) update(J, K);
   }
 
   // Backward: L^T z = y. L^T is upper triangular (unit); iterate block rows
@@ -607,28 +601,16 @@ std::vector<real_t> PluFactorization::solve_transpose(
   for (index_t J = nt - 1; J >= 0; --J) {
     real_t* xj = x.data() + static_cast<offset_t>(J) * bs;
     // Gather contributions from later block rows: x_J -= L(I,J)^T z_I.
-    for (index_t I = J + 1; I < nt; ++I) {
-      const Tile* lt = tiles_->tile(I, J);
-      if (lt == nullptr) continue;
-      const real_t* ld = tile_dense(I, J)->dense_data();
-      const real_t* xi = x.data() + static_cast<offset_t>(I) * bs;
-      for (index_t cidx = 0; cidx < lt->cols(); ++cidx) {
-        real_t acc = 0;
-        for (index_t r = 0; r < lt->rows(); ++r) {
-          acc += ld[r + static_cast<offset_t>(cidx) * lt->ld()] * xi[r];
-        }
-        xj[cidx] -= acc;
-      }
-    }
+    for (index_t I = J + 1; I < nt; ++I) update(I, J);
     // Within-tile: solve L(J,J)^T z_J = rhs (upper, unit diagonal).
-    const Tile* diag = tile_dense(J, J);
-    const index_t w = diag->cols();
-    const real_t* d = diag->dense_data();
+    const Tile& diag = diag_dense(J);
+    const index_t w = diag.cols();
+    const real_t* d = diag.dense_data();
     for (index_t r = w - 1; r >= 0; --r) {
       real_t acc = xj[r];
       for (index_t k = r + 1; k < w; ++k) {
         // (L^T)(r,k) = L(k,r), strictly lower entries of the diag tile.
-        acc -= d[k + static_cast<offset_t>(r) * diag->ld()] * xj[k];
+        acc -= d[k + static_cast<offset_t>(r) * diag.ld()] * xj[k];
       }
       xj[r] = acc;
     }

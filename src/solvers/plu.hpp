@@ -40,14 +40,19 @@ class PluFactorization {
   const TaskGraph& graph() const { return graph_; }
   TaskGraph& mutable_graph() { return graph_; }
   const TilePattern& pattern() const { return pattern_; }
-  TileMatrix& tiles() { return *tiles_; }
-  const TileMatrix& tiles() const { return *tiles_; }
+  TileMatrix& tiles() { return *checked_tiles(); }
+  const TileMatrix& tiles() const { return *checked_tiles(); }
+
+  /// Free the tiles and their backend, keeping the tile pattern and task
+  /// DAG that donor construction reads — a retired factorization kept only
+  /// as a symbolic donor. Every numeric accessor throws afterwards.
+  void release_numeric();
 
   /// Numeric backend bound to this factorisation's tiles.
   NumericBackend& backend();
 
   /// nnz(L+U) after the numeric phase (diagonal counted once).
-  offset_t nnz_lu() const { return tiles_->total_nnz(); }
+  offset_t nnz_lu() const { return tiles().total_nnz(); }
 
   /// Triangular solves with the computed factors: returns x with
   /// L U x = b (b in the *permuted* ordering). Must be called after the
@@ -67,6 +72,7 @@ class PluFactorization {
   TaskGraph graph_;
 
   void build_graph();
+  TileMatrix* checked_tiles() const;
 };
 
 }  // namespace th

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "kernels/dense.hpp"
+#include "exec/worker_pool.hpp"
 #include "kernels/flops.hpp"
 #include "support/error.hpp"
 
@@ -120,10 +120,22 @@ SolveFoldPlan build_solve_fold_plan(const TilePattern& p, bool forward) {
   return plan;
 }
 
+int exec_lanes(const ExecOptions& exec) {
+  return exec.pool != nullptr ? exec.pool->width() : exec.workers;
+}
+
 TriSolveBackend::TriSolveBackend(const PluFactorization& fact, real_t* x,
-                                 index_t nrhs, bool forward,
+                                 index_t nrhs, bool forward, int lanes,
                                  const SolveFoldPlan* fold)
-    : fact_(fact), x_(x), nrhs_(nrhs), forward_(forward), fold_(fold) {
+    : fact_(fact),
+      x_(x),
+      nrhs_(nrhs),
+      forward_(forward),
+      update_(fold != nullptr ? SolveUpdate::kAccumulate
+              : lanes > 1     ? SolveUpdate::kAtomicSubtract
+                              : SolveUpdate::kSubtract),
+      fold_(fold) {
+  TH_CHECK_MSG(lanes >= 1, "solve backend needs >= 1 lane, got " << lanes);
   if (fold_ != nullptr) {
     TH_CHECK_MSG(fold_->forward == forward,
                  "solve fold plan direction does not match the backend");
@@ -177,52 +189,29 @@ void TriSolveBackend::run_task(const Task& t, bool /*atomic*/) {
         }
       }
     }
-  } else {
-    // x[row] -= T(row, col) * x[col].
-    const Tile& tile = *fact_.tiles().tile(t.row, t.col);
-    const real_t* xc = x_ + static_cast<offset_t>(t.col) * bs;
-    if (fold_ != nullptr) {
-      // Accumulate the positive contribution T(row, col) * x[col] into the
-      // tile's private scratch region (bi x nrhs, column-major); the
-      // diagonal task subtracts it later in plan order. Regions are
-      // disjoint across tasks, so no atomics are needed.
-      const offset_t off =
-          fold_->tile_offset.at(std::make_pair(t.row, t.col));
-      real_t* scr = scratch_.data() + off * nrhs_;
-      const index_t bi = tile.rows();
-      for (index_t r = 0; r < nrhs_; ++r) {
-        real_t* out = scr + static_cast<offset_t>(r) * bi;
-        const real_t* in = xc + static_cast<offset_t>(r) * n;
-        for (index_t c = 0; c < tile.cols(); ++c) {
-          const real_t v = in[c];
-          if (v == 0.0) continue;
-          const real_t* tc =
-              tile.dense_data() + static_cast<offset_t>(c) * tile.ld();
-          for (index_t i = 0; i < bi; ++i) out[i] += tc[i] * v;
-        }
-      }
-      return;
-    }
-    // Atomic path: solve updates conflict on the target block *row*
-    // (x[row]), not on the (row, col) key the factorisation scheduler uses
-    // for SSSSM conflict detection — so accumulation is unconditionally
-    // atomic here. With a single-worker executor this costs one
-    // uncontended CAS per element.
-    real_t* xr = x_ + static_cast<offset_t>(t.row) * bs;
-    for (index_t r = 0; r < nrhs_; ++r) {
-      real_t* out = xr + static_cast<offset_t>(r) * n;
-      const real_t* in = xc + static_cast<offset_t>(r) * n;
-      for (index_t c = 0; c < tile.cols(); ++c) {
-        const real_t v = in[c];
-        if (v == 0.0) continue;
-        const real_t* tc =
-            tile.dense_data() + static_cast<offset_t>(c) * tile.ld();
-        for (index_t i = 0; i < tile.rows(); ++i) {
-          atomic_add(out[i], -tc[i] * v);
-        }
-      }
-    }
+    return;
   }
+  // x[row] -= T(row, col) * x[col], over T's nonzero index.
+  const Tile& tile = *fact_.tiles().tile(t.row, t.col);
+  const real_t* xc = x_ + static_cast<offset_t>(t.col) * bs;
+  if (fold_ != nullptr) {
+    // Accumulate the positive contribution T(row, col) * x[col] into the
+    // tile's private scratch region (bi x nrhs, column-major); the
+    // diagonal task subtracts it later in plan order. Regions are disjoint
+    // across tasks, so no atomics are needed.
+    const offset_t off = fold_->tile_offset.at(std::make_pair(t.row, t.col));
+    tile_solve_update(tile, update_, xc, n, scratch_.data() + off * nrhs_,
+                      tile.rows(), nrhs_);
+    return;
+  }
+  // Solve updates conflict on the target block *row* (x[row]), not on the
+  // (row, col) key the factorisation scheduler uses for SSSSM conflict
+  // detection, so the executor cannot flag them: on more than one lane
+  // every update accumulates atomically. On one lane nothing runs
+  // concurrently and the update writes in place — x - t*v rounds exactly
+  // like the CAS loop's x + (-(t*v)), and the lone lane fixes the order.
+  tile_solve_update(tile, update_, xc, n,
+                    x_ + static_cast<offset_t>(t.row) * bs, n, nrhs_);
 }
 
 PluTriangularSolver::PluTriangularSolver(const PluFactorization& fact,
@@ -254,14 +243,15 @@ TriSolveResult PluTriangularSolver::solve(const real_t* b, real_t* x,
         build_solve_fold_plan(fact_.pattern(), /*forward=*/false);
   }
 
+  const int lanes = exec_lanes(run.exec);
   TriSolveResult out;
   {
-    TriSolveBackend backend(fact_, x, nrhs_, /*forward=*/true,
+    TriSolveBackend backend(fact_, x, nrhs_, /*forward=*/true, lanes,
                             det ? &*forward_fold_ : nullptr);
     out.forward = simulate(forward_, run, &backend);
   }
   {
-    TriSolveBackend backend(fact_, x, nrhs_, /*forward=*/false,
+    TriSolveBackend backend(fact_, x, nrhs_, /*forward=*/false, lanes,
                             det ? &*backward_fold_ : nullptr);
     out.backward = simulate(backward_, run, &backend);
   }

@@ -14,14 +14,18 @@
 // right-hand sides into block solves over these DAGs, DESIGN.md §15), and
 // bench/ext_rhs_throughput gates its throughput scaling.
 //
+// Every update task walks its factor tile's nonzero index
+// (tile_solve_update, kernels/tile.hpp) rather than the dense tile.
+//
 // Accumulation modes. Update tasks into one block row commute; the
 // paper-faithful path accumulates them with atomic adds, whose FP ordering
-// varies with the schedule and worker count. When the caller asks for
-// deterministic accumulation (ScheduleOptions::exec.accum == det), the
-// backend instead gives every update task a private scratch region and the
-// consuming diagonal task folds the contributions in ascending
-// source-block order before substituting — bit-identical results across
-// thread counts, batch widths and scheduling policies.
+// varies with the schedule and worker count — on one executor lane they
+// write in place, which rounds the same (DESIGN.md §15). When the caller
+// asks for deterministic accumulation (ScheduleOptions::exec.accum ==
+// det), the backend instead gives every update task a private scratch
+// region and the consuming diagonal task folds the contributions in
+// ascending source-block order before substituting — bit-identical results
+// across thread counts, batch widths and scheduling policies.
 #pragma once
 
 #include <map>
@@ -61,17 +65,25 @@ struct SolveFoldPlan {
 
 SolveFoldPlan build_solve_fold_plan(const TilePattern& pattern, bool forward);
 
+/// Executor lanes a run under these options uses: the shared pool's
+/// width, or `workers` when the run spawns its own pool.
+int exec_lanes(const ExecOptions& exec);
+
 /// Numeric backend for one solve direction over a caller-owned block of
 /// right-hand sides: `x` is n x nrhs column-major in the permuted
-/// ordering, solved in place. Without a fold plan, update tasks
-/// atomic_add into x (conflicts key on the target block *row*, not the
-/// (row, col) key the factorisation scheduler uses, so accumulation is
-/// unconditionally atomic). With one, updates fill private scratch and
+/// ordering, solved in place. Every update walks its factor tile's nonzero
+/// index (tile_solve_update). Without a fold plan, updates write into x:
+/// atomically when `lanes` > 1 — conflicts key on the target block *row*,
+/// not the (row, col) key the factorisation scheduler uses, so the
+/// executor cannot flag them — and in place on one lane, where nothing
+/// runs concurrently. `lanes` is the executor's lane count for the run
+/// (exec_lanes). With a fold plan, updates fill private scratch and
 /// diagonal tasks fold them in plan order — deterministic mode.
 class TriSolveBackend : public NumericBackend {
  public:
   TriSolveBackend(const PluFactorization& fact, real_t* x, index_t nrhs,
-                  bool forward, const SolveFoldPlan* fold = nullptr);
+                  bool forward, int lanes,
+                  const SolveFoldPlan* fold = nullptr);
 
   void run_task(const Task& t, bool atomic) override;
 
@@ -80,6 +92,7 @@ class TriSolveBackend : public NumericBackend {
   real_t* x_;
   index_t nrhs_;
   bool forward_;
+  SolveUpdate update_;  // how update tasks apply their tile
   const SolveFoldPlan* fold_;
   std::vector<real_t> scratch_;  // fold mode: scratch_rows * nrhs, zeroed
 };

@@ -503,6 +503,12 @@ TEST(DurableServe, RecoveryRehydratesBitIdenticalFactorsAndClaims) {
   const Csr a = grid(12, 3);
   TileSnapshot before;
   SessionId sid = -1;
+  // Finite, with exact zeros: rehydrated factors must solve it bitwise.
+  std::vector<real_t> b(static_cast<std::size_t>(a.n_rows));
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = i % 3 == 0 ? 0.0 : 1.0 / static_cast<real_t>(i + 1);
+  }
+  std::vector<real_t> x_before;
   {
     SolverService svc(durable_service(dir));
     sid = svc.open_session("alice", a);
@@ -513,6 +519,7 @@ TEST(DurableServe, RecoveryRehydratesBitIdenticalFactorsAndClaims) {
     svc.drain();
     before = snapshot_tiles(*svc.session_instance(sid));
     ASSERT_FALSE(before.empty());
+    x_before = svc.session_instance(sid)->solve(b);
   }  // "crash": the service dies without retiring anything
 
   SolverService svc(durable_service(dir, /*recover=*/true));
@@ -541,6 +548,22 @@ TEST(DurableServe, RecoveryRehydratesBitIdenticalFactorsAndClaims) {
               0)
         << "tile (" << ij.first << ", " << ij.second << ") diverged";
   }
+  // Recovery re-derived the nonzero index of every factor tile, so the
+  // solves walk the same entries as before the crash.
+  const TileMatrix& tm =
+      svc.session_instance(sid)->plu_factorization()->tiles();
+  for (index_t i = 0; i < tm.nt(); ++i) {
+    for (index_t j = 0; j < tm.nt(); ++j) {
+      if (tm.has(i, j)) {
+        EXPECT_EQ(tm.tile(i, j)->nz_indexed(), i != j) << i << "," << j;
+      }
+    }
+  }
+  const std::vector<real_t> x_after = svc.session_instance(sid)->solve(b);
+  ASSERT_EQ(x_after.size(), x_before.size());
+  EXPECT_EQ(std::memcmp(x_after.data(), x_before.data(),
+                        x_after.size() * sizeof(real_t)),
+            0);
 
   // The replayed factor dedups; a solve runs against rehydrated factors.
   Request f;

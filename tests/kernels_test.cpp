@@ -15,7 +15,9 @@
 #include "obs/obs.hpp"
 #include "sim/cluster.hpp"
 #include "solvers/driver.hpp"
+#include "solvers/trisolve.hpp"
 #include "sparse/ops.hpp"
+#include "support/cancel.hpp"
 #include "support/rng.hpp"
 
 namespace th {
@@ -421,21 +423,27 @@ TEST(TileIndex, WritesDropTheIndexAndSsssmSeesNewValues) {
   EXPECT_FALSE(u.nz_indexed());
   u.adopt_dense(std::move(spilled));
   u.index_nonzeros();
-  // Whole-tile kernels: every output drops its index except GEESM's,
-  // which is an SSSSM U operand and leaves it built.
+  // Whole-tile kernels: GETRF and SSSSM outputs drop their index; TSTRF
+  // and GEESM outputs, the L and U factors, leave it built from the new
+  // values.
   Tile diag = random_tile(16, 16, 1.0, rng);
   for (index_t i = 0; i < 16; ++i) {
     diag.densify();
     diag.dense_data()[i + 16 * i] += 20.0;
   }
   tile_getrf(diag);
-  tile_tstrf(u, diag);
-  EXPECT_FALSE(u.nz_indexed());
-  tile_geesm(u, diag);
-  EXPECT_TRUE(u.nz_indexed());
-  for (index_t col = 0; col < 16; ++col) {
-    for (index_t r = 0; r < 16; ++r) {
-      EXPECT_EQ((u.nz_col_bits(col)[0] >> r) & 1u, u.at(r, col) != 0.0);
+  EXPECT_FALSE(diag.nz_indexed());
+  for (const bool geesm : {false, true}) {
+    if (geesm) {
+      tile_geesm(u, diag);
+    } else {
+      tile_tstrf(u, diag);
+    }
+    EXPECT_TRUE(u.nz_indexed());
+    for (index_t col = 0; col < 16; ++col) {
+      for (index_t r = 0; r < 16; ++r) {
+        EXPECT_EQ((u.nz_col_bits(col)[0] >> r) & 1u, u.at(r, col) != 0.0);
+      }
     }
   }
   fresh.index_nonzeros();
@@ -598,30 +606,56 @@ void expect_index_current(const Tile& u) {
   }
 }
 
-TEST_F(StaleIndex, BackendRewritesKeepTheIndexCurrentAndRunNumericFreesIt) {
-  SolverInstance inst(a_, io_);
-  inst.run_numeric(options());
-  TileMatrix& tm = inst.plu_factorization()->tiles();
+// After a run every off-diagonal (L or U factor) tile carries an index
+// that marks exactly its entries != 0.0; diagonal tiles carry none.
+void expect_factors_indexed(const TileMatrix& tm) {
   for (index_t i = 0; i < tm.nt(); ++i) {
     for (index_t j = 0; j < tm.nt(); ++j) {
-      if (tm.has(i, j)) {
+      if (!tm.has(i, j)) continue;
+      SCOPED_TRACE(::testing::Message() << "tile " << i << "," << j);
+      if (i == j) {
         EXPECT_FALSE(tm.tile(i, j)->nz_indexed());
+      } else {
+        expect_index_current(*tm.tile(i, j));
       }
     }
   }
-  // Re-run one GEESM through the block API: its slices index the output.
+}
+
+TEST_F(StaleIndex, RunNumericLeavesEveryFactorIndexedAndRewritesKeepIt) {
+  SolverInstance inst(a_, io_);
+  inst.run_numeric(options());
+  TileMatrix& tm = inst.plu_factorization()->tiles();
+  expect_factors_indexed(tm);
+  // The slices built them all: the end-of-run sweep found nothing.
+  EXPECT_EQ(tm.index_factors(), 0);
+  // Re-run one GEESM and one TSTRF through the block API: their slices
+  // index the outputs (GEESM by columns, TSTRF by OR-ing row slices).
   NumericBackend& be = inst.plu_factorization()->backend();
+  for (const TaskType type : {TaskType::kGeesm, TaskType::kTstrf}) {
+    const Task* pick = nullptr;
+    for (const Task& t : inst.graph().tasks()) {
+      if (t.type == type) pick = &t;
+    }
+    ASSERT_NE(pick, nullptr);
+    Tile& f = *tm.tile(pick->row, pick->col);
+    // A factor task's target must not carry an index when it runs.
+    EXPECT_THROW(be.prepare_task(*pick), Error);
+    f.drop_nz_index();
+    be.prepare_task(*pick);
+    const index_t half = pick->cost.cuda_blocks / 2;
+    ASSERT_GE(be.run_blocks(*pick, half, pick->cost.cuda_blocks, false,
+                            nullptr),
+              0);
+    ASSERT_GE(be.run_blocks(*pick, 0, half, false, nullptr), 0);
+    expect_index_current(f);
+  }
+  // Serial rewrites of a factored tile re-derive its index, so the SSSSMs
+  // still to come and the solves read the new values' pattern.
   const Task& t = inst.graph().task(geesm_ids(inst).front());
   Tile& u = *tm.tile(t.row, t.col);
-  be.prepare_task(t);
-  ASSERT_GE(be.run_blocks(t, 0, t.cost.cuda_blocks, false, nullptr), 0);
-  expect_index_current(u);
-  // Serial rewrites of a factored U tile re-derive its index, so the
-  // SSSSMs still to come read the new values' pattern.
   ASSERT_TRUE(be.inject_fault(t, NumericFaultKind::kInf));
   expect_index_current(u);
-  u.drop_nz_index();
-  u.index_nonzeros();
   u.dense_data()[0] = std::numeric_limits<real_t>::quiet_NaN();
   u.index_nonzeros();
   GuardPolicy gp;
@@ -632,12 +666,36 @@ TEST_F(StaleIndex, BackendRewritesKeepTheIndexCurrentAndRunNumericFreesIt) {
                              1.0));
   expect_index_current(u);
   EXPECT_EQ(u.nz_indexed_count(), static_cast<offset_t>(u.rows()) * u.cols());
+  EXPECT_EQ(u.nnz(), u.nz_indexed_count());
   // An ABFT rollback restores the pre-batch snapshot: the index goes
   // until the task re-runs.
   be.abft_capture(t);
   be.abft_rollback(t);
   EXPECT_FALSE(u.nz_indexed());
   be.abft_reset();
+}
+
+TEST_F(StaleIndex, ThrownRunFreesEveryIndex) {
+  // A cancelled run unwinds at a batch boundary with some factor tiles
+  // written and indexed; the partial factors keep no index.
+  SolverInstance probe(a_, io_);
+  const real_t makespan = probe.run_timing(options()).makespan_s;
+  SolverInstance inst(a_, io_);
+  CancelToken token;
+  token.set_deadline(makespan / 2);
+  ScheduleOptions so = options();
+  so.cancel = &token;
+  EXPECT_THROW(inst.run_numeric(so), CancelledError);
+  const TileMatrix& tm = inst.plu_factorization()->tiles();
+  index_t dense = 0;
+  for (index_t i = 0; i < tm.nt(); ++i) {
+    for (index_t j = 0; j < tm.nt(); ++j) {
+      if (!tm.has(i, j)) continue;
+      EXPECT_FALSE(tm.tile(i, j)->nz_indexed()) << i << "," << j;
+      dense += tm.tile(i, j)->storage() == Tile::Storage::kDense;
+    }
+  }
+  EXPECT_GT(dense, 0);  // the run did start writing tiles
 }
 
 TEST_F(StaleIndex, HostSsssmFlopsCountTheIndexedPairs) {
@@ -722,6 +780,263 @@ TEST_F(StaleIndex, SplitTasksIndexAcrossLanesBitwise) {
   expect_same_factors(one, four);
 }
 
+// ---- Indexed triangular-solve updates ----------------------------------
+//
+// The references are the dense scans every solve ran before the factor
+// tiles kept their index: each visits every tile entry, skipping only
+// in(c) == 0.0 in the column forms.
+
+void scan_solve_update(const Tile& t, SolveUpdate op, const real_t* in,
+                       index_t ld_in, real_t* out, index_t ld_out,
+                       index_t nrhs) {
+  const real_t* d = t.dense_data();
+  for (index_t r = 0; r < nrhs; ++r) {
+    const real_t* x = in + static_cast<offset_t>(r) * ld_in;
+    real_t* o = out + static_cast<offset_t>(r) * ld_out;
+    if (op == SolveUpdate::kSubtractTransposed) {
+      for (index_t c = 0; c < t.cols(); ++c) {
+        real_t acc = 0;
+        for (index_t i = 0; i < t.rows(); ++i) {
+          acc += d[i + static_cast<offset_t>(c) * t.ld()] * x[i];
+        }
+        o[c] -= acc;
+      }
+      continue;
+    }
+    for (index_t c = 0; c < t.cols(); ++c) {
+      const real_t v = x[c];
+      if (v == 0.0) continue;
+      const real_t* tc = d + static_cast<offset_t>(c) * t.ld();
+      for (index_t i = 0; i < t.rows(); ++i) {
+        if (op == SolveUpdate::kSubtract) {
+          o[i] -= tc[i] * v;
+        } else if (op == SolveUpdate::kAtomicSubtract) {
+          atomic_add(o[i], -tc[i] * v);
+        } else {
+          o[i] += tc[i] * v;
+        }
+      }
+    }
+  }
+}
+
+// Finite values with exact +0.0 entries (about a third) and no -0.0: the
+// inputs the solves see (DESIGN.md §4).
+std::vector<real_t> finite_with_zeros(std::size_t n, Rng& rng) {
+  std::vector<real_t> v(n);
+  for (real_t& x : v) x = rng.next_real() < 0.35 ? 0.0 : rng.uniform(-2, 2);
+  return v;
+}
+
+TEST(SolveIndex, UpdateKernelMatchesDenseScanBitwise) {
+  Rng rng(61);
+  // One-word and two-word columns, square and skinny tiles.
+  struct Shape {
+    index_t rows, cols;
+    real_t density;
+  };
+  for (const Shape sh : {Shape{64, 64, 0.06}, Shape{70, 9, 0.15},
+                         Shape{9, 70, 0.3}, Shape{16, 16, 1.0}}) {
+    Tile t = random_tile(sh.rows, sh.cols, sh.density, rng);
+    t.densify();
+    t.index_nonzeros();
+    for (const SolveUpdate op :
+         {SolveUpdate::kSubtract, SolveUpdate::kAtomicSubtract,
+          SolveUpdate::kAccumulate, SolveUpdate::kSubtractTransposed}) {
+      const bool tr = op == SolveUpdate::kSubtractTransposed;
+      const index_t n_in = tr ? t.rows() : t.cols();
+      const index_t n_out = tr ? t.cols() : t.rows();
+      // Leading dimensions wider than the vectors, as in an n x nrhs block.
+      const index_t ld_in = n_in + 3;
+      const index_t ld_out = n_out + 5;
+      for (const index_t nrhs : {1, 4, 16}) {
+        const std::vector<real_t> in =
+            finite_with_zeros(static_cast<std::size_t>(ld_in) * nrhs, rng);
+        // Det scratch starts all +0.0; the other outputs hold solve state.
+        const std::vector<real_t> out0 =
+            op == SolveUpdate::kAccumulate
+                ? std::vector<real_t>(static_cast<std::size_t>(ld_out) * nrhs,
+                                      0.0)
+                : finite_with_zeros(static_cast<std::size_t>(ld_out) * nrhs,
+                                    rng);
+        std::vector<real_t> got = out0;
+        std::vector<real_t> want = out0;
+        tile_solve_update(t, op, in.data(), ld_in, got.data(), ld_out, nrhs);
+        scan_solve_update(t, op, in.data(), ld_in, want.data(), ld_out,
+                          nrhs);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(real_t)),
+                  0)
+            << sh.rows << "x" << sh.cols << " op " << static_cast<int>(op)
+            << " nrhs " << nrhs;
+      }
+    }
+  }
+}
+
+// PluFactorization::solve / solve_transpose as they were: dense scans of
+// every off-diagonal tile.
+std::vector<real_t> scan_solve(const PluFactorization& f,
+                               const std::vector<real_t>& b, bool transpose) {
+  const TileMatrix& tm = f.tiles();
+  const index_t n = f.pattern().n;
+  const index_t nt = tm.nt();
+  const index_t bs = f.pattern().tile_size;
+  std::vector<real_t> x = b;
+  auto blk = [&](index_t k) {
+    return x.data() + static_cast<offset_t>(k) * bs;
+  };
+  auto update = [&](index_t i, index_t j, index_t out, index_t in) {
+    if (const Tile* t = tm.tile(i, j)) {
+      scan_solve_update(*t,
+                        transpose ? SolveUpdate::kSubtractTransposed
+                                  : SolveUpdate::kSubtract,
+                        blk(in), n, blk(out), n, 1);
+    }
+  };
+  for (index_t J = 0; J < nt; ++J) {
+    const Tile& dg = *tm.tile(J, J);
+    const real_t* d = dg.dense_data();
+    const index_t w = dg.cols();
+    real_t* xj = blk(J);
+    if (transpose) {
+      for (index_t r = 0; r < w; ++r) {
+        real_t acc = xj[r];
+        for (index_t k = 0; k < r; ++k) acc -= d[k + r * w] * xj[k];
+        xj[r] = acc / d[r + r * w];
+      }
+      for (index_t K = J + 1; K < nt; ++K) update(J, K, K, J);
+    } else {
+      for (index_t c = 0; c < w; ++c) {
+        const real_t xc = xj[c];
+        if (xc == 0.0) continue;
+        for (index_t r = c + 1; r < w; ++r) xj[r] -= d[r + c * w] * xc;
+      }
+      for (index_t I = J + 1; I < nt; ++I) update(I, J, I, J);
+    }
+  }
+  for (index_t J = nt - 1; J >= 0; --J) {
+    const Tile& dg = *tm.tile(J, J);
+    const real_t* d = dg.dense_data();
+    const index_t w = dg.cols();
+    real_t* xj = blk(J);
+    if (transpose) {
+      for (index_t I = J + 1; I < nt; ++I) update(I, J, J, I);
+      for (index_t r = w - 1; r >= 0; --r) {
+        real_t acc = xj[r];
+        for (index_t k = r + 1; k < w; ++k) acc -= d[k + r * w] * xj[k];
+        xj[r] = acc;
+      }
+    } else {
+      for (index_t K = J + 1; K < nt; ++K) update(J, K, J, K);
+      for (index_t c = w - 1; c >= 0; --c) {
+        real_t acc = xj[c];
+        for (index_t r = c + 1; r < w; ++r) acc -= d[c + r * w] * xj[r];
+        xj[c] = acc / d[c + c * w];
+      }
+    }
+  }
+  return x;
+}
+
+void expect_bitwise(const std::vector<real_t>& got,
+                    const std::vector<real_t>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(real_t)), 0)
+      << what;
+}
+
+TEST_F(StaleIndex, SequentialSolvesMatchDenseScanBitwise) {
+  SolverInstance inst(a_, io_);
+  inst.run_numeric(options());
+  const PluFactorization& f = *inst.plu_factorization();
+  Rng rng(63);
+  for (int rep = 0; rep < 3; ++rep) {
+    const std::vector<real_t> b =
+        finite_with_zeros(static_cast<std::size_t>(f.pattern().n), rng);
+    expect_bitwise(f.solve(b), scan_solve(f, b, false), "solve");
+    expect_bitwise(f.solve_transpose(b), scan_solve(f, b, true),
+                   "solve_transpose");
+  }
+}
+
+TEST_F(StaleIndex, SolvesRefuseAnUnindexedFactorTile) {
+  SolverInstance inst(a_, io_);
+  inst.run_numeric(options());
+  PluFactorization& f = *inst.plu_factorization();
+  const std::vector<real_t> b(static_cast<std::size_t>(f.pattern().n), 1.0);
+  const std::vector<real_t> x = f.solve(b);
+  // One L tile and one U tile, each stripped of its index in turn.
+  const TaskGraph& g = inst.graph();
+  for (const TaskType type : {TaskType::kTstrf, TaskType::kGeesm}) {
+    const Task* pick = nullptr;
+    for (const Task& t : g.tasks()) {
+      if (t.type == type && pick == nullptr) pick = &t;
+    }
+    ASSERT_NE(pick, nullptr);
+    f.tiles().tile(pick->row, pick->col)->drop_nz_index();
+    EXPECT_THROW(f.solve(b), Error);
+    EXPECT_THROW(f.solve_transpose(b), Error);
+    PluTriangularSolver tri(f, 1);
+    std::vector<real_t> y(b.size());
+    EXPECT_THROW(tri.solve(b.data(), y.data(), options()), Error);
+    EXPECT_EQ(f.tiles().index_factors(), 1);
+    expect_bitwise(f.solve(b), x, "re-indexed solve");
+  }
+}
+
+TEST_F(StaleIndex, RestoredFactorsSolveBitwiseLikeTheRun) {
+  // Durable rehydration adopts every factor tile from storage, which
+  // drops the indexes; restore_numeric_done() rebuilds them.
+  SolverInstance run(a_, io_);
+  run.run_numeric(options());
+  SolverInstance restored(a_, io_);
+  const TileMatrix& src = run.plu_factorization()->tiles();
+  TileMatrix& dst = restored.plu_factorization()->tiles();
+  for (index_t i = 0; i < src.nt(); ++i) {
+    for (index_t j = 0; j < src.nt(); ++j) {
+      if (!src.has(i, j)) continue;
+      const Tile& t = *src.tile(i, j);
+      dst.tile(i, j)->adopt_dense(std::vector<real_t>(
+          t.dense_data(),
+          t.dense_data() + static_cast<offset_t>(t.rows()) * t.cols()));
+    }
+  }
+  restored.restore_numeric_done();
+  expect_factors_indexed(dst);
+  Rng rng(65);
+  const std::vector<real_t> b =
+      finite_with_zeros(static_cast<std::size_t>(a_.n_rows), rng);
+  expect_bitwise(restored.solve(b), run.solve(b), "solve after restore");
+}
+
+TEST_F(StaleIndex, RestartFromCheckpointLeavesFactorsIndexed) {
+  // A rank restart rolls its completions back to the last checkpoint and
+  // re-completes them; the factors keep current indexes, and solves match
+  // a clean run's (one lane, det mode: the factors are the same).
+  ScheduleOptions so = options();
+  so.exec.accum = exec::AccumMode::kDeterministic;
+  SolverInstance clean(a_, io_);
+  const real_t m = clean.run_numeric(so).makespan_s;
+  so.checkpoint.mode = CheckpointPolicy::Mode::kInterval;
+  so.checkpoint.interval_s = m / 3;
+  so.checkpoint.write_cost_s = m / 200;
+  so.checkpoint.restore_cost_s = m / 50;
+  so.faults.rank_failures.push_back(
+      {1, m * 0.55, RankRecovery::kRestartFromCheckpoint});
+  SolverInstance restarted(a_, io_);
+  const ScheduleResult r = restarted.run_numeric(so);
+  ASSERT_EQ(r.stats().faults.ranks_restarted, 1);
+  ASSERT_GT(r.stats().faults.tasks_restarted, 0);
+  expect_factors_indexed(restarted.plu_factorization()->tiles());
+  expect_same_factors(restarted, clean);
+  Rng rng(67);
+  const std::vector<real_t> b =
+      finite_with_zeros(static_cast<std::size_t>(a_.n_rows), rng);
+  expect_bitwise(restarted.solve(b), clean.solve(b), "solve after restart");
+}
+
 // ---- SIMD inner loops --------------------------------------------------
 
 TEST(Simd, AxpyMinusMatchesScalarBitwise) {
@@ -745,6 +1060,33 @@ TEST(Simd, ScaleMatchesScalarBitwise) {
   for (real_t& v : ref) v *= alpha;
   simd::scale(static_cast<index_t>(x.size()), x.data(), alpha);
   EXPECT_EQ(std::memcmp(x.data(), ref.data(), x.size() * sizeof(real_t)), 0);
+}
+
+TEST(Simd, NonzeroMaskMatchesScalarBitwise) {
+  // Every length up to a full word, with the entries C's != must get
+  // right: +-0.0 clear, NaN and +-Inf set, denormals set.
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  std::vector<real_t> x(64);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    switch (i % 7) {
+      case 0: x[i] = 0.0; break;
+      case 1: x[i] = -0.0; break;
+      case 2: x[i] = std::numeric_limits<real_t>::quiet_NaN(); break;
+      case 3: x[i] = i % 2 ? inf : -inf; break;
+      case 4: x[i] = std::numeric_limits<real_t>::denorm_min(); break;
+      default: x[i] = 0.25 * static_cast<real_t>(i) - 3.0; break;
+    }
+  }
+  for (index_t n = 0; n <= 64; ++n) {
+    for (index_t off = 0; off + n <= 64 && off < 5; ++off) {
+      std::uint64_t want = 0;
+      for (index_t i = 0; i < n; ++i) {
+        want |= static_cast<std::uint64_t>(x[off + i] != 0.0) << i;
+      }
+      EXPECT_EQ(simd::nonzero_mask(n, x.data() + off), want) << n << "@" << off;
+      EXPECT_EQ(simd::detail::nonzero_mask_portable(n, x.data() + off), want);
+    }
+  }
 }
 
 TEST(Simd, DispatchNameIsCoherent) {

@@ -12,6 +12,7 @@
 
 #include "gen/generators.hpp"
 #include "core/coalesce.hpp"
+#include "kernels/dense.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/recorder.hpp"
@@ -243,6 +244,167 @@ TEST_F(RhsEngineTest, BlockSolveMatchesSequentialDriver) {
     EXPECT_NEAR(got[i], x_ref[i], 1e-10);
   }
   EXPECT_LT(scaled_residual(*a_, got, b), 1e-10);
+}
+
+// The solve backend as it ran before the factor tiles kept their index:
+// every update scans its dense tile, atomically into x, or into private
+// scratch folded by the diagonal task in det mode.
+class ScanSolveBackend : public NumericBackend {
+ public:
+  ScanSolveBackend(const PluFactorization& f, real_t* x, index_t nrhs,
+                   bool forward, const SolveFoldPlan* fold)
+      : f_(f), x_(x), nrhs_(nrhs), forward_(forward), fold_(fold) {
+    if (fold_ != nullptr) {
+      scratch_.assign(static_cast<std::size_t>(fold_->scratch_rows) * nrhs_,
+                      0.0);
+    }
+  }
+
+  void run_task(const Task& t, bool /*atomic*/) override {
+    const index_t bs = f_.pattern().tile_size;
+    const index_t n = f_.pattern().n;
+    if (t.type == TaskType::kGetrf) {
+      const Tile& d = *f_.tiles().tile(t.k, t.k);
+      const index_t w = d.rows();
+      real_t* xk = x_ + static_cast<offset_t>(t.k) * bs;
+      if (fold_ != nullptr) {
+        for (const index_t src :
+             fold_->fold_cols[static_cast<std::size_t>(t.k)]) {
+          const offset_t off = fold_->tile_offset.at({t.k, src});
+          for (index_t r = 0; r < nrhs_; ++r) {
+            real_t* col = xk + static_cast<offset_t>(r) * n;
+            const real_t* s =
+                scratch_.data() + off * nrhs_ + static_cast<offset_t>(r) * w;
+            for (index_t i = 0; i < w; ++i) col[i] -= s[i];
+          }
+        }
+      }
+      const real_t* dd = d.dense_data();
+      for (index_t r = 0; r < nrhs_; ++r) {
+        real_t* col = xk + static_cast<offset_t>(r) * n;
+        if (forward_) {
+          for (index_t c = 0; c < w; ++c) {
+            const real_t xc = col[c];
+            if (xc == 0.0) continue;
+            for (index_t i = c + 1; i < w; ++i) col[i] -= dd[i + c * w] * xc;
+          }
+        } else {
+          for (index_t c = w - 1; c >= 0; --c) {
+            real_t acc = col[c];
+            for (index_t i = c + 1; i < w; ++i) acc -= dd[c + i * w] * col[i];
+            col[c] = acc / dd[c + c * w];
+          }
+        }
+      }
+      return;
+    }
+    const Tile& tile = *f_.tiles().tile(t.row, t.col);
+    const real_t* xc = x_ + static_cast<offset_t>(t.col) * bs;
+    const bool fold = fold_ != nullptr;
+    real_t* base = fold ? scratch_.data() +
+                              fold_->tile_offset.at({t.row, t.col}) * nrhs_
+                        : x_ + static_cast<offset_t>(t.row) * bs;
+    const index_t ld_out = fold ? tile.rows() : n;
+    for (index_t r = 0; r < nrhs_; ++r) {
+      real_t* out = base + static_cast<offset_t>(r) * ld_out;
+      const real_t* in = xc + static_cast<offset_t>(r) * n;
+      for (index_t c = 0; c < tile.cols(); ++c) {
+        const real_t v = in[c];
+        if (v == 0.0) continue;
+        const real_t* tc =
+            tile.dense_data() + static_cast<offset_t>(c) * tile.ld();
+        for (index_t i = 0; i < tile.rows(); ++i) {
+          if (fold) {
+            out[i] += tc[i] * v;
+          } else {
+            atomic_add(out[i], -tc[i] * v);
+          }
+        }
+      }
+    }
+  }
+
+ private:
+  const PluFactorization& f_;
+  real_t* x_;
+  index_t nrhs_;
+  bool forward_;
+  const SolveFoldPlan* fold_;
+  std::vector<real_t> scratch_;
+};
+
+TEST_F(RhsEngineTest, BlockSolvesMatchDenseScanBackendBitwise) {
+  // Walking the factor tiles' nonzero index (and, on one lane, writing in
+  // place instead of CAS) leaves every block solve bitwise as it was, for
+  // finite right-hand sides with exact zeros and no -0.0.
+  const PluFactorization& f = *inst_->plu_factorization();
+  const index_t n = a_->n_rows;
+  const SolveFoldPlan fwd_plan = build_solve_fold_plan(f.pattern(), true);
+  const SolveFoldPlan bwd_plan = build_solve_fold_plan(f.pattern(), false);
+  Rng rng(71);
+  struct Mode {
+    bool det;
+    int workers;
+  };
+  for (const Mode mode : {Mode{false, 1}, Mode{true, 1}, Mode{true, 2}}) {
+    ScheduleOptions so = *sched_;
+    so.exec.workers = mode.workers;
+    ScheduleOptions run = so;
+    run.policy = rhs::solve_policy(SolveSchedule::kPriorityDag);
+    run.exec.accum = exec::AccumMode::kAtomic;
+    BlockSolver solver(f, so);
+    for (const index_t width : {1, 4, 16}) {
+      std::vector<real_t> b(static_cast<std::size_t>(n) * width);
+      for (real_t& v : b) v = rng.next_real() < 0.3 ? 0.0 : rng.uniform(-1, 1);
+      std::vector<real_t> got = b;
+      solver.solve(got.data(), width, SolveSchedule::kPriorityDag, mode.det);
+      std::vector<real_t> want = b;
+      const TaskGraph fg = build_solve_graph(f, true, width);
+      const TaskGraph bg = build_solve_graph(f, false, width);
+      {
+        ScanSolveBackend be(f, want.data(), width, true,
+                            mode.det ? &fwd_plan : nullptr);
+        simulate(fg, run, &be);
+      }
+      {
+        ScanSolveBackend be(f, want.data(), width, false,
+                            mode.det ? &bwd_plan : nullptr);
+        simulate(bg, run, &be);
+      }
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(real_t)),
+                0)
+          << (mode.det ? "det" : "atomic") << " workers=" << mode.workers
+          << " width=" << width;
+    }
+  }
+}
+
+TEST_F(RhsEngineTest, TwoLaneAtomicBlockSolveIsAccurate) {
+  // More than one lane: updates into one block row may run at once, so
+  // the backend keeps its CAS accumulation (TSan runs this test in CI).
+  ScheduleOptions so = *sched_;
+  so.exec.workers = 2;
+  BlockSolver solver(*inst_->plu_factorization(), so);
+  const index_t n = a_->n_rows;
+  const index_t width = 16;
+  std::vector<std::vector<real_t>> bs;
+  std::vector<real_t> x(static_cast<std::size_t>(n) * width);
+  for (index_t j = 0; j < width; ++j) {
+    bs.push_back(rhs_for(500 + static_cast<std::uint64_t>(j)));
+    const std::vector<real_t> pb = apply_permutation(bs.back(),
+                                                     inst_->permutation());
+    std::copy(pb.begin(), pb.end(), x.begin() + static_cast<offset_t>(j) * n);
+  }
+  solver.solve(x.data(), width, SolveSchedule::kPriorityDag, false);
+  for (index_t j = 0; j < width; ++j) {
+    const auto col = x.begin() + static_cast<offset_t>(j) * n;
+    const std::vector<real_t> xj = apply_inverse_permutation(
+        std::vector<real_t>(col, col + n), inst_->permutation());
+    EXPECT_LE(scaled_residual(*a_, xj, bs[static_cast<std::size_t>(j)]),
+              1e-10)
+        << "rhs " << j;
+  }
 }
 
 TEST_F(RhsEngineTest, LevelSetScheduleIsCorrectButLaunchBound) {

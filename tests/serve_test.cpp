@@ -130,6 +130,68 @@ TEST(SolverService, SecondOpenOnSamePatternHitsTheCache) {
   EXPECT_EQ(svc.cache_size(), 2u);
 }
 
+TEST(SolverService, CachedDonorKeepsOnlyStructureOnceItsSessionMovesOn) {
+  // The cache-miss session's instance doubles as the pattern's symbolic
+  // donor. When that session refactors (or retires), the donor must not
+  // pin the replaced factor tiles: donor construction reads only the
+  // permutation, tile pattern and DAG.
+  SolverService svc(small_service());
+  const Csr a = grid(12, 1);
+  const SessionId alice = svc.open_session("alice", a);
+  const SolverInstance* donor = svc.cached_donor(serve::pattern_hash(a));
+  ASSERT_NE(donor, nullptr);
+  EXPECT_EQ(donor, svc.session_instance(alice));
+  Request f;
+  f.kind = RequestKind::kFactor;
+  svc.submit(alice, f);
+  Request r;
+  r.kind = RequestKind::kRefactor;
+  r.value_seed = 3;
+  svc.submit(alice, r);
+  std::vector<Completion> done = svc.drain();
+  ASSERT_EQ(done.size(), 2u);
+  for (const Completion& c : done) ASSERT_TRUE(c.ok()) << c.detail;
+  ASSERT_EQ(svc.cached_donor(serve::pattern_hash(a)), donor);
+  EXPECT_NE(svc.session_instance(alice), donor);
+  EXPECT_THROW(donor->plu_factorization()->tiles(), Error);
+  EXPECT_THROW(donor->solve(std::vector<real_t>(
+                   static_cast<std::size_t>(a.n_rows), 1.0)),
+               Error);
+
+  // The structure-only donor still serves cache hits that factor and
+  // solve correctly, and the refactored session solves too.
+  const SessionId bob = svc.open_session("bob", grid(12, 2));
+  EXPECT_EQ(svc.stats().cache_hits, 1);
+  svc.submit(bob, f);
+  for (const SessionId sid : {alice, bob}) {
+    Request sol;
+    sol.kind = RequestKind::kSolve;
+    sol.value_seed = 11;
+    svc.submit(sid, sol);
+  }
+  done = svc.drain();
+  ASSERT_EQ(done.size(), 3u);
+  for (const Completion& c : done) {
+    ASSERT_TRUE(c.ok()) << c.detail;
+    if (c.kind == RequestKind::kSolve) {
+      EXPECT_LT(c.residual, 1e-9);
+    }
+  }
+
+  // Retiring the session that built a donor frees the tiles the same way.
+  const Csr b = grid(13, 1);
+  const SessionId carol = svc.open_session("carol", b);
+  svc.submit(carol, f);
+  done = svc.drain();
+  ASSERT_EQ(done.size(), 1u);
+  ASSERT_TRUE(done[0].ok()) << done[0].detail;
+  const SolverInstance* donor_b = svc.cached_donor(serve::pattern_hash(b));
+  ASSERT_NE(donor_b, nullptr);
+  EXPECT_NO_THROW(donor_b->plu_factorization()->tiles());
+  ASSERT_TRUE(svc.retire_session(carol));
+  EXPECT_THROW(donor_b->plu_factorization()->tiles(), Error);
+}
+
 // ---- admission control: all three typed reasons ---------------------------
 
 TEST(SolverService, MemInfeasiblePatternIsRejectedAtOpen) {
@@ -317,7 +379,8 @@ TEST(SolverService, RefactorFactorsMatchFreshFactorizationBitwise) {
   // A cancelled run leaves partially written (and partially indexed)
   // tiles behind; the refactor with new values that follows must still
   // produce exactly the factors of a standalone factorization of those
-  // values — no U-tile nonzero index may outlive the values it described.
+  // values — no factor tile's nonzero index may outlive the values it
+  // described.
   const ServeOptions opt = small_service();
   SolverService svc(opt);
   const Csr a0 = grid(14, 1);
@@ -354,7 +417,16 @@ TEST(SolverService, RefactorFactorsMatchFreshFactorizationBitwise) {
       const Tile& q = *y.tile(i, j);
       ASSERT_EQ(p.storage(), Tile::Storage::kDense);
       ASSERT_EQ(q.storage(), Tile::Storage::kDense);
-      EXPECT_FALSE(p.nz_indexed());
+      // Off-diagonal factor tiles carry the index of their current values
+      // (the solves walk it); diagonal tiles carry none.
+      ASSERT_EQ(p.nz_indexed(), i != j) << "tile " << i << "," << j;
+      for (index_t c = 0; i != j && c < p.cols(); ++c) {
+        for (index_t rr = 0; rr < p.rows(); ++rr) {
+          ASSERT_EQ((p.nz_col_bits(c)[rr / 64] >> (rr % 64)) & 1u,
+                    p.at(rr, c) != 0.0)
+              << "tile " << i << "," << j << " entry " << rr << "," << c;
+        }
+      }
       EXPECT_EQ(std::memcmp(p.dense_data(), q.dense_data(),
                             static_cast<std::size_t>(p.rows()) * p.cols() *
                                 sizeof(real_t)),
