@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the host-side primitives: dense and
-// sparse tile kernels, the BlockTaskMap dispatch, Container operations and
-// the Collector admission path. These measure the *real* host cost of the
+// sparse tile kernels, the BlockTaskMap dispatch, Container operations, the
+// Collector admission path, and the analysis layer (minimum-degree ordering
+// and task-graph finalize). These measure the *real* host cost of the
 // building blocks (unlike the figure benches, which report modelled GPU
 // time).
 #include <benchmark/benchmark.h>
@@ -8,10 +9,15 @@
 #include "core/collector.hpp"
 #include "core/container.hpp"
 #include "core/executor.hpp"
+#include "core/task_graph.hpp"
+#include "gen/generators.hpp"
+#include "gen/registry.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/tile.hpp"
+#include "order/reorder.hpp"
 #include "support/rng.hpp"
+#include "symbolic/tiles.hpp"
 
 namespace th {
 namespace {
@@ -195,6 +201,72 @@ void BM_CollectorAdmission(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CollectorAdmission);
+
+// Minimum-degree ordering of a paper stand-in. Arg 0: Ga41As41H72
+// (n=2,500, the costliest stand-in to order), 1: c-71.
+void BM_MinDegreeOrder(benchmark::State& state) {
+  const char* name = state.range(0) == 0 ? "Ga41As41H72" : "c-71";
+  const Csr a = paper_matrix(name).make();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(min_degree_order(a).data());
+  }
+  state.SetLabel(name);
+  state.SetItemsProcessed(state.iterations() * a.n_rows);
+}
+BENCHMARK(BM_MinDegreeOrder)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// TaskGraph::finalize on the PLU core's DAG of grid2d 120x120 (min-degree,
+// tiles of Arg): the tasks and edges are added in the PLU builder's order,
+// untimed, then finalize() is timed alone. Items are edges added.
+void BM_TaskGraphFinalize(benchmark::State& state) {
+  const auto tile = static_cast<index_t>(state.range(0));
+  const Csr a = finalize_system(grid2d_laplacian(120, 120), 1);
+  const TilePattern p =
+      tile_symbolic(apply_symmetric_permutation(a, min_degree_order(a)), tile);
+  const index_t nt = p.nt;
+  offset_t edges = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    TaskGraph g;
+    std::vector<index_t> cons(static_cast<std::size_t>(nt) * nt, -1);
+    for (index_t k = 0; k < nt; ++k) {
+      cons[static_cast<std::size_t>(k) * nt + k] = g.add_task(Task{});
+      for (const index_t i : p.col_tiles_below(k)) {
+        cons[static_cast<std::size_t>(i) * nt + k] = g.add_task(Task{});
+      }
+      for (const index_t j : p.row_tiles_right(k)) {
+        cons[static_cast<std::size_t>(k) * nt + j] = g.add_task(Task{});
+      }
+    }
+    edges = 0;
+    for (index_t k = 0; k < nt; ++k) {
+      const index_t f = cons[static_cast<std::size_t>(k) * nt + k];
+      const std::vector<index_t> col = p.col_tiles_below(k);
+      const std::vector<index_t> row = p.row_tiles_right(k);
+      for (const index_t i : col) {
+        g.add_dependency(f, cons[static_cast<std::size_t>(i) * nt + k]);
+      }
+      for (const index_t j : row) {
+        g.add_dependency(f, cons[static_cast<std::size_t>(k) * nt + j]);
+      }
+      edges += static_cast<offset_t>(col.size() + row.size());
+      for (const index_t i : col) {
+        for (const index_t j : row) {
+          const index_t s = g.add_task(Task{});
+          g.add_dependency(cons[static_cast<std::size_t>(i) * nt + k], s);
+          g.add_dependency(cons[static_cast<std::size_t>(k) * nt + j], s);
+          g.add_dependency(s, cons[static_cast<std::size_t>(i) * nt + j]);
+          edges += 3;
+        }
+      }
+    }
+    state.ResumeTiming();
+    g.finalize();
+    benchmark::DoNotOptimize(g.levels().data());
+  }
+  state.SetItemsProcessed(state.iterations() * edges);
+}
+BENCHMARK(BM_TaskGraphFinalize)->Arg(128)->Arg(64)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace th

@@ -38,27 +38,43 @@ void TaskGraph::add_dependency(index_t producer, index_t consumer) {
 
 void TaskGraph::finalize() {
   TH_CHECK(!finalized_);
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-
   const index_t n = size();
+
+  // Successors: bucket the edges by producer (counting sort), then sort and
+  // dedupe each producer's short run in place, compacting as we go.
   succ_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  pred_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [p, c] : edges_) {
-    ++succ_ptr_[p + 1];
-    ++pred_ptr_[c + 1];
-  }
-  for (index_t i = 0; i < n; ++i) {
-    succ_ptr_[i + 1] += succ_ptr_[i];
-    pred_ptr_[i + 1] += pred_ptr_[i];
-  }
+  for (const auto& [p, c] : edges_) ++succ_ptr_[p + 1];
+  for (index_t i = 0; i < n; ++i) succ_ptr_[i + 1] += succ_ptr_[i];
   succ_.resize(edges_.size());
-  pred_.resize(edges_.size());
-  std::vector<offset_t> scur(succ_ptr_.begin(), succ_ptr_.end() - 1);
-  std::vector<offset_t> pcur(pred_ptr_.begin(), pred_ptr_.end() - 1);
-  for (const auto& [p, c] : edges_) {
-    succ_[scur[p]++] = c;
-    pred_[pcur[c]++] = p;
+  {
+    std::vector<offset_t> cur(succ_ptr_.begin(), succ_ptr_.end() - 1);
+    for (const auto& [p, c] : edges_) succ_[cur[p]++] = c;
+  }
+  offset_t kept = 0;
+  for (index_t t = 0; t < n; ++t) {
+    const auto first = succ_.begin() + succ_ptr_[t];
+    const auto last = succ_.begin() + succ_ptr_[t + 1];
+    std::sort(first, last);
+    const auto end = std::unique(first, last);
+    succ_ptr_[t] = kept;
+    for (auto it = first; it != end; ++it) succ_[kept++] = *it;
+  }
+  succ_ptr_[n] = kept;
+  succ_.resize(static_cast<std::size_t>(kept));
+
+  // Predecessors: one scan in producer order appends each producer to its
+  // consumers' lists, so every list comes out ascending.
+  pred_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const index_t c : succ_) ++pred_ptr_[c + 1];
+  for (index_t i = 0; i < n; ++i) pred_ptr_[i + 1] += pred_ptr_[i];
+  pred_.resize(succ_.size());
+  {
+    std::vector<offset_t> cur(pred_ptr_.begin(), pred_ptr_.end() - 1);
+    for (index_t p = 0; p < n; ++p) {
+      for (offset_t q = succ_ptr_[p]; q < succ_ptr_[p + 1]; ++q) {
+        pred_[cur[succ_[q]]++] = p;
+      }
+    }
   }
   in_degree_.assign(static_cast<std::size_t>(n), 0);
   for (index_t t = 0; t < n; ++t) {
@@ -85,6 +101,8 @@ void TaskGraph::finalize() {
   }
   TH_CHECK_MSG(seen == n, "task graph has a cycle (" << n - seen
                                                      << " tasks unreachable)");
+  // The CSR arrays now hold every edge; nothing reads the list again.
+  std::vector<std::pair<index_t, index_t>>().swap(edges_);
   finalized_ = true;
 }
 

@@ -29,9 +29,11 @@ const char* ordering_name(Ordering o);
 /// connected component.
 Permutation rcm_order(const Csr& a);
 
-/// Quotient-graph minimum-degree ordering (element absorption, exact
-/// external degrees). Quality comparable to classic MMD at the problem
-/// sizes this repository targets.
+/// Quotient-graph minimum-degree ordering (element absorption, AMD-style
+/// approximate degrees: the upper bound |A_v| + sum_e (|L_e| - 1), capped at
+/// n-1, not the exact external degree). Ties go to the lowest vertex id.
+/// Quality comparable to classic MMD at the problem sizes this repository
+/// targets.
 Permutation min_degree_order(const Csr& a);
 
 /// Recursive level-set nested dissection; leaves smaller than `leaf_size`

@@ -131,8 +131,8 @@ NumericBackend& SluFactorization::backend() { return *backend_; }
 SluFactorization::SluFactorization(const Csr& a, const SluOptions& opts)
     : opts_(opts) {
   const Csr sym = symmetrize_pattern(a);
-  const EliminationTree etree = elimination_tree(sym);
-  const FillPattern fill = symbolic_fill(sym, etree);
+  const EliminationTree etree = elimination_tree_symmetric(sym);
+  const FillPattern fill = symbolic_fill_symmetric(sym, etree);
   part_ = find_supernodes(fill, etree, opts.max_supernode,
                           opts.relax_slack);
 

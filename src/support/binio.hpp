@@ -372,8 +372,12 @@ class RecordReader {
     }
     need(static_cast<std::size_t>(size) * sizeof(T), field);
     std::vector<T> v(static_cast<std::size_t>(size));
-    std::memcpy(v.data(), payload_.data() + pos_, v.size() * sizeof(T));
-    pos_ += v.size() * sizeof(T);
+    // An empty vector's data() may be null, and memcpy's pointers must not
+    // be, even for a zero-byte copy.
+    if (!v.empty()) {
+      std::memcpy(v.data(), payload_.data() + pos_, v.size() * sizeof(T));
+      pos_ += v.size() * sizeof(T);
+    }
     return v;
   }
 

@@ -8,8 +8,11 @@
 namespace th {
 
 EliminationTree elimination_tree(const Csr& a) {
-  TH_CHECK(a.n_rows == a.n_cols);
-  const Csr s = symmetrize_pattern(a);
+  return elimination_tree_symmetric(symmetrize_pattern(a));
+}
+
+EliminationTree elimination_tree_symmetric(const Csr& s) {
+  TH_CHECK(s.n_rows == s.n_cols);
   const index_t n = s.n_rows;
   EliminationTree t;
   t.parent.assign(static_cast<std::size_t>(n), -1);

@@ -24,6 +24,11 @@ struct EliminationTree {
 /// Compute the elimination tree of the symmetrized pattern of A.
 EliminationTree elimination_tree(const Csr& a);
 
+/// Elimination tree of a pattern that is already structurally symmetric
+/// (e.g. the output of symmetrize_pattern); skips the symmetrization, so an
+/// analysis that symmetrizes once can share the result.
+EliminationTree elimination_tree_symmetric(const Csr& sym);
+
 /// Postorder of the etree: children before parents, deterministic.
 std::vector<index_t> postorder(const EliminationTree& t);
 

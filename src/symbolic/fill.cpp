@@ -8,8 +8,11 @@
 namespace th {
 
 FillPattern symbolic_fill(const Csr& a, const EliminationTree& t) {
-  TH_CHECK(a.n_rows == a.n_cols);
-  const Csr s = symmetrize_pattern(a);
+  return symbolic_fill_symmetric(symmetrize_pattern(a), t);
+}
+
+FillPattern symbolic_fill_symmetric(const Csr& s, const EliminationTree& t) {
+  TH_CHECK(s.n_rows == s.n_cols);
   const index_t n = s.n_rows;
   TH_CHECK(t.n() == n);
 
@@ -60,7 +63,8 @@ FillPattern symbolic_fill(const Csr& a, const EliminationTree& t) {
 }
 
 FillPattern symbolic_fill(const Csr& a) {
-  return symbolic_fill(a, elimination_tree(a));
+  const Csr s = symmetrize_pattern(a);
+  return symbolic_fill_symmetric(s, elimination_tree_symmetric(s));
 }
 
 }  // namespace th

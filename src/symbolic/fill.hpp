@@ -30,7 +30,11 @@ struct FillPattern {
 /// Runs in O(|L|) time and memory.
 FillPattern symbolic_fill(const Csr& a, const EliminationTree& t);
 
-/// Convenience: symmetrize, build etree, compute fill.
+/// As above for a pattern that is already structurally symmetric (e.g. the
+/// output of symmetrize_pattern); skips the symmetrization.
+FillPattern symbolic_fill_symmetric(const Csr& sym, const EliminationTree& t);
+
+/// Convenience: symmetrize once, build etree, compute fill.
 FillPattern symbolic_fill(const Csr& a);
 
 }  // namespace th

@@ -68,6 +68,82 @@ TEST(TaskGraph, CycleDetected) {
   EXPECT_THROW(g.finalize(), Error);
 }
 
+TEST(TaskGraph, FinalizeMatchesSortedEdgeListReference) {
+  // A random DAG over a shuffled topological order, its edges added in
+  // random order with duplicates. finalize() must give exactly what the
+  // sorted-and-deduplicated edge list gives: ascending successor and
+  // predecessor lists, ASAP levels and upward ranks.
+  std::mt19937 rng(15);
+  const index_t n = 300;
+  std::vector<index_t> topo(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) topo[i] = i;
+  std::shuffle(topo.begin(), topo.end(), rng);
+  std::vector<std::pair<index_t, index_t>> edges;
+  for (index_t i = 0; i < n; ++i) {
+    const auto fan = static_cast<index_t>(rng() % 6);
+    for (index_t k = 0; k < fan && i + 1 < n; ++k) {
+      const auto j = static_cast<index_t>(i + 1 + rng() % (n - i - 1));
+      edges.push_back({topo[i], topo[j]});
+      if (rng() % 4 == 0) edges.push_back({topo[i], topo[j]});
+    }
+  }
+  std::shuffle(edges.begin(), edges.end(), rng);
+
+  TaskGraph g;
+  for (index_t i = 0; i < n; ++i) {
+    Task t = make_task(TaskType::kSsssm, 0, i, i);
+    t.cost.flops = 1 + static_cast<offset_t>(rng() % 1000);
+    g.add_task(t);
+  }
+  for (const auto& [p, c] : edges) g.add_dependency(p, c);
+  g.finalize();
+
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<std::vector<index_t>> succ(static_cast<std::size_t>(n));
+  std::vector<std::vector<index_t>> pred(static_cast<std::size_t>(n));
+  for (const auto& [p, c] : edges) {
+    succ[p].push_back(c);
+    pred[c].push_back(p);
+  }
+  // Levels and upward ranks along the shuffled topological order.
+  std::vector<index_t> level(static_cast<std::size_t>(n), 0);
+  for (const index_t t : topo) {
+    for (const index_t s : succ[t]) level[s] = std::max(level[s], level[t] + 1);
+  }
+  std::vector<offset_t> rank(static_cast<std::size_t>(n), 0);
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    offset_t best = 0;
+    for (const index_t s : succ[*it]) best = std::max(best, rank[s]);
+    rank[*it] = g.task(*it).cost.flops + best;
+  }
+
+  for (index_t t = 0; t < n; ++t) {
+    const auto [sb, se] = g.successors(t);
+    EXPECT_EQ(std::vector<index_t>(sb, se), succ[t]) << "task " << t;
+    const auto [pb, pe] = g.predecessors(t);
+    EXPECT_EQ(std::vector<index_t>(pb, pe), pred[t]) << "task " << t;
+    EXPECT_EQ(g.in_degree(t), static_cast<index_t>(pred[t].size()));
+  }
+  EXPECT_EQ(g.levels(), level);
+  EXPECT_EQ(g.upward_rank(), rank);
+}
+
+TEST(TaskGraph, CycleAmongDuplicateEdgesStillThrows) {
+  TaskGraph g;
+  for (index_t i = 0; i < 4; ++i) {
+    g.add_task(make_task(TaskType::kSsssm, 0, i, i));
+  }
+  g.add_dependency(2, 3);
+  g.add_dependency(0, 1);
+  g.add_dependency(1, 2);
+  g.add_dependency(0, 1);
+  g.add_dependency(3, 1);
+  g.add_dependency(2, 3);
+  EXPECT_THROW(g.finalize(), Error);
+  EXPECT_FALSE(g.finalized());
+}
+
 TEST(TaskGraph, SelfDependencyRejected) {
   TaskGraph g;
   const index_t a = g.add_task(make_task(TaskType::kGetrf, 0, 0, 0));

@@ -333,6 +333,23 @@ TEST(CheckpointIO, BitFlipAnywhereFailsTheCrc) {
   }
 }
 
+TEST(RecordIO, EmptyVectorRoundTrips) {
+  // A zero-length vector field between two others: the reader must hand
+  // back an empty vector without touching the (null) storage of one, and
+  // leave the cursor on the next field.
+  bin::RecordWriter w("THTS", 2);
+  w.put<std::int32_t>(11);
+  w.put_vector(std::vector<real_t>{});
+  w.put_vector(std::vector<index_t>{4, 5});
+  std::stringstream ss;
+  w.finish(ss);
+  bin::RecordReader r(ss, "THTS", 2, "test", 1 << 20);
+  EXPECT_EQ(r.get<std::int32_t>(), 11);
+  EXPECT_TRUE(r.get_vector<real_t>(16).empty());
+  EXPECT_EQ(r.get_vector<index_t>(16), (std::vector<index_t>{4, 5}));
+  r.finish();
+}
+
 TEST(FaultReportIO, BitFlipFailsTheCrcStandalone) {
   FaultReport r;
   r.transient_faults = 7;

@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <queue>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/generators.hpp"
+#include "gen/registry.hpp"
+#include "gen/suite.hpp"
 #include "order/graph.hpp"
 #include "sparse/convert.hpp"
 #include "order/reorder.hpp"
@@ -150,6 +156,146 @@ TEST(Orderings, AllValidOnIrregularMatrix) {
     EXPECT_TRUE(is_valid_permutation(compute_ordering(a, o)))
         << ordering_name(o);
   }
+}
+
+// ---- Indexed-heap minimum degree vs the lazy-deletion heap ----------------
+
+// Test-local copy of the former min_degree_order: a lazy-deletion
+// std::priority_queue that pushes a fresh (degree, version, vertex) entry on
+// every degree refresh and skips stale ones on pop. The production indexed
+// heap must reproduce its permutation exactly.
+Permutation lazy_heap_min_degree_order(const Csr& a) {
+  struct HeapItem {
+    index_t degree;
+    index_t version;
+    index_t vertex;
+    bool operator>(const HeapItem& o) const {
+      if (degree != o.degree) return degree > o.degree;
+      return vertex > o.vertex;
+    }
+  };
+  const AdjacencyGraph g = build_adjacency(a);
+  const index_t n = g.n;
+  std::vector<std::vector<index_t>> var_adj(static_cast<std::size_t>(n));
+  for (index_t v = 0; v < n; ++v) {
+    var_adj[v].assign(g.adj.begin() + g.ptr[v], g.adj.begin() + g.ptr[v + 1]);
+  }
+  std::vector<std::vector<index_t>> var_elems(static_cast<std::size_t>(n));
+  std::vector<std::vector<index_t>> elem_verts;
+  std::vector<char> eliminated(static_cast<std::size_t>(n), 0);
+  std::vector<index_t> version(static_cast<std::size_t>(n), 0);
+  std::vector<char> mark(static_cast<std::size_t>(n), 0);
+  auto compute_degree = [&](index_t v) -> index_t {
+    offset_t deg = static_cast<offset_t>(var_adj[v].size());
+    for (index_t e : var_elems[v]) {
+      deg += static_cast<offset_t>(elem_verts[e].size()) - 1;
+    }
+    return static_cast<index_t>(std::min<offset_t>(deg, n - 1));
+  };
+  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
+  for (index_t v = 0; v < n; ++v) heap.push({compute_degree(v), 0, v});
+  Permutation order;
+  while (!heap.empty()) {
+    const HeapItem top = heap.top();
+    heap.pop();
+    const index_t v = top.vertex;
+    if (eliminated[v] || top.version != version[v]) continue;
+    eliminated[v] = 1;
+    order.push_back(v);
+    std::vector<index_t> boundary;
+    auto touch = [&](index_t u) {
+      if (u == v || eliminated[u] || mark[u]) return;
+      mark[u] = 1;
+      boundary.push_back(u);
+    };
+    for (index_t u : var_adj[v]) touch(u);
+    for (index_t e : var_elems[v]) {
+      for (index_t u : elem_verts[e]) touch(u);
+    }
+    for (index_t u : boundary) mark[u] = 0;
+    const auto e_new = static_cast<index_t>(elem_verts.size());
+    const std::vector<index_t> absorbed = var_elems[v];
+    for (index_t u : boundary) mark[u] = 1;
+    mark[v] = 1;
+    for (index_t u : boundary) {
+      auto& adj = var_adj[u];
+      adj.erase(std::remove_if(adj.begin(), adj.end(),
+                               [&](index_t w) { return mark[w] != 0; }),
+                adj.end());
+      auto& elems = var_elems[u];
+      elems.erase(std::remove_if(elems.begin(), elems.end(),
+                                 [&](index_t e) {
+                                   return std::find(absorbed.begin(),
+                                                    absorbed.end(),
+                                                    e) != absorbed.end();
+                                 }),
+                  elems.end());
+      elems.push_back(e_new);
+    }
+    for (index_t u : boundary) mark[u] = 0;
+    mark[v] = 0;
+    for (index_t e : absorbed) elem_verts[e].clear();
+    elem_verts.push_back(boundary);
+    var_adj[v].clear();
+    var_elems[v].clear();
+    for (index_t u : elem_verts[e_new]) {
+      ++version[u];
+      heap.push({compute_degree(u), version[u], u});
+    }
+  }
+  return order;
+}
+
+void expect_same_order(const Csr& a, const std::string& what) {
+  const Permutation got = min_degree_order(a);
+  EXPECT_TRUE(is_valid_permutation(got)) << what;
+  EXPECT_EQ(got, lazy_heap_min_degree_order(a)) << what;
+}
+
+Csr pattern_matrix(index_t n,
+                   const std::vector<std::pair<index_t, index_t>>& edges) {
+  Coo c;
+  c.n_rows = c.n_cols = n;
+  for (index_t i = 0; i < n; ++i) c.add(i, i, 4.0);
+  for (const auto& [r, col] : edges) c.add(r, col, -1.0);
+  return coo_to_csr(c);
+}
+
+TEST(MinDegree, IndexedHeapMatchesLazyHeapOnPaperStandIns) {
+  for (const PaperMatrix& m : paper_matrices()) {
+    expect_same_order(m.make(), m.name);
+  }
+}
+
+TEST(MinDegree, IndexedHeapMatchesLazyHeapOnGridAndSuiteSample) {
+  expect_same_order(finalize_system(grid2d_laplacian(120, 120), 1),
+                    "grid2d 120x120");
+  const std::vector<SuiteEntry>& suite = matrix_suite();
+  Rng rng(20261019);
+  for (int k = 0; k < 8; ++k) {
+    const SuiteEntry& e =
+        suite[rng.next_below(static_cast<std::uint64_t>(suite.size()))];
+    expect_same_order(make_suite_matrix(e), e.name);
+  }
+}
+
+TEST(MinDegree, IndexedHeapMatchesLazyHeapOnEdgeCases) {
+  expect_same_order(pattern_matrix(0, {}), "n=0");
+  expect_same_order(pattern_matrix(1, {}), "n=1");
+  expect_same_order(pattern_matrix(9, {}), "diagonal only");
+  // Three components: a path, a star and an isolated vertex, interleaved
+  // in the numbering so ties cross component boundaries.
+  expect_same_order(
+      pattern_matrix(10, {{0, 3}, {3, 6}, {6, 9}, {1, 4}, {1, 7}, {1, 8}}),
+      "disconnected components");
+  // One dense row (and, after symmetrization, column) over a sparse chain.
+  std::vector<std::pair<index_t, index_t>> dense;
+  for (index_t j = 1; j < 40; ++j) dense.push_back({0, j});
+  for (index_t j = 1; j + 1 < 40; j += 2) dense.push_back({j, j + 1});
+  expect_same_order(pattern_matrix(40, dense), "one dense row");
+  // Unsymmetric pattern: upper entries only.
+  expect_same_order(pattern_matrix(6, {{0, 5}, {1, 2}, {2, 4}, {3, 5}}),
+                    "one-sided pattern");
 }
 
 }  // namespace
